@@ -21,7 +21,7 @@
 //! disk (in-memory index dropped), warm from memory — and writes
 //! `BENCH_farm.json` (override with `--out`) recording the timings,
 //! speedups, per-pass counters, and a `host` header describing the
-//! machine (cores, SMT, model, pinning, oversubscription).
+//! machine (cores, SMT, model, oversubscription).
 //!
 //! `--prune-against PATH` loads a results archive — a result-cache
 //! directory, or any JSON carrying job keys such as a previous `--stats`

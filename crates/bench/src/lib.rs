@@ -18,6 +18,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
+pub mod host;
 pub mod tables;
 
 use caps_json::{obj, Value};
@@ -26,11 +27,11 @@ use caps_workloads::{all_workloads, Scale, Workload};
 
 /// Host topology metadata for benchmark report headers, so numbers in
 /// committed `BENCH_*.json` files can be compared across machines:
-/// physical core count, logical CPUs, SMT, the CPU model string, worker
-/// pinning, and whether `workers` threads oversubscribe the physical
-/// cores (the single-core-CI caveat made machine-readable).
+/// physical core count, logical CPUs, SMT, the CPU model string, and
+/// whether `workers` threads oversubscribe the logical CPUs (the
+/// single-core-CI caveat made machine-readable).
 pub fn host_json(workers: usize) -> Value {
-    let t = caps_gpu_sim::topo::host_topology();
+    let t = host::host_topology();
     obj(vec![
         ("physical_cores", Value::UInt(t.physical_cores as u64)),
         ("logical_cpus", Value::UInt(t.logical_cpus() as u64)),
@@ -38,10 +39,6 @@ pub fn host_json(workers: usize) -> Value {
         ("model", Value::Str(t.model.clone())),
         ("workers", Value::UInt(workers as u64)),
         ("oversubscribed", Value::Bool(t.oversubscribed(workers))),
-        (
-            "pinning",
-            Value::Bool(caps_gpu_sim::topo::pinning_enabled()),
-        ),
     ])
 }
 

@@ -1,55 +1,35 @@
 //! Whole-GPU simulation loop: SMs, two interconnect networks, memory
 //! partitions, DRAM channels, and the CTA distributor.
 //!
-//! # The phase-split cycle engine
+//! # The cycle
 //!
-//! A core cycle is executed as two parallel phases separated by a single
-//! barrier, plus a short serial tail (see DESIGN.md §9c/§9d):
+//! A core cycle runs three steps in a fixed order (see DESIGN.md §9d):
 //!
-//! 1. **SM-local phase** — per SM: drain that SM's reply links, deliver
-//!    fills, advance the pipeline (fetch/issue/execute/L1/prefetch), and
-//!    drain the SM's outbound queues into the worker's *staging ring* in
-//!    `(sm_id, queue order)`. SMs interact only through the
-//!    interconnect, so this phase is data parallel over SMs.
-//! 2. **Memory-local phase** — per DRAM channel: first claim staged
-//!    requests routed to the worker's channels (the fused injection —
-//!    every worker scans the full staged sequence read-only, so the
-//!    per-link send order is exactly the old serial phase's), then eject
-//!    requests into the channel's partitions, advance the channel, and
-//!    advance its partitions (L2/MSHR/FR-FCFS). Partitions sharing a
-//!    channel form one shard, so this phase is data parallel over
-//!    channels.
-//! 3. **Serial tail** — drain partition reply queues into the reply
-//!    networks in fixed partition order (the merge that keeps reply-link
-//!    packet order identical to sequential stepping), refill CTA slots,
-//!    merge the per-shard quiescence summaries, and clear the staging
-//!    rings.
+//! 1. **SM loop** — per SM, in SM order: drain that SM's reply links,
+//!    deliver fills, advance the pipeline (fetch/issue/execute/L1/
+//!    prefetch), and send the SM's outbound requests into the request
+//!    networks in queue order. Every send lands `icnt_latency` cycles
+//!    out, so each request link sees its packets in `(sm, queue order)`.
+//! 2. **Memory loop** — per DRAM channel: eject requests into the
+//!    channel's partitions, advance the channel, and advance its
+//!    partitions (L2/MSHR/FR-FCFS).
+//! 3. **Tail** — drain partition reply queues into the reply networks
+//!    in partition order and refill CTA slots.
 //!
-//! With `sim_threads > 1` the two phases fan out over a persistent
-//! [`ShardPool`] through [`ShardPool::run2`], which runs both phases in
-//! one dispatch with one internal barrier; each worker owns a disjoint
-//! set of SMs (resp. channels) *and their interconnect links and
-//! quiescence-cache entries*, so no shared mutable state exists inside a
-//! parallel phase — no locks, no atomics, and statistics live in
-//! per-component counters merged once at the end of the run. Staging
-//! rings are written by exactly one phase-1 worker and read (never
-//! mutated) by phase-2 workers across the barrier. Because the parallel
-//! engine runs the same phase bodies over the same disjoint state in the
-//! same per-shard order, its output is bit-identical to the sequential
-//! engine for every thread count (enforced by the differential suite).
+//! Parallelism lives one level up: the sweep farm runs independent
+//! simulations on separate threads, and each simulation steps on one.
 
 use crate::config::GpuConfig;
 use crate::cta_scheduler::CtaDistributor;
 use crate::dram::{DramChannel, DramRequest};
-use crate::interconnect::{Link, MemReply, MemRequest, Network};
+use crate::interconnect::{MemReply, MemRequest, Network};
 use crate::kernel::Kernel;
 use crate::partition::MemoryPartition;
-use crate::pool::ShardPool;
-use crate::port::{PortSnapshot, Ring};
+use crate::port::PortSnapshot;
 use crate::prefetch::PrefetcherFactory;
 use crate::sched::make_scheduler;
 use crate::sm::Sm;
-use crate::stats::{AdaptReport, KernelStats, LinkReport, Stats};
+use crate::stats::{KernelStats, LinkReport, Stats};
 use crate::tenant::{Partitioning, TenantState, TENANT_WINDOW};
 use crate::types::{CtaCoord, Cycle, KernelId, MAX_TENANTS};
 
@@ -84,39 +64,19 @@ pub struct Gpu {
     channels: Vec<DramChannel>,
     distributor: CtaDistributor,
     cycle: Cycle,
-    /// Per-channel DRAM completion scratch (a channel's completions only
-    /// ever target partitions mapped to it, so the scratch shards with
-    /// the channel).
-    dram_scratch: Vec<Vec<DramRequest>>,
-    /// Per-worker completed-CTA scratch; contents are only tested for
-    /// emptiness (the refill trigger), so per-shard collection needs no
-    /// merge step.
-    completed_shards: Vec<Vec<CtaCoord>>,
-    /// Per-worker staging rings for the fused injection: phase-1 worker
-    /// `w` drains its SMs' outbound queues here in `(sm_id, queue
-    /// order)`; phase-2 workers read every ring (in shard order, which
-    /// reconstructs the global serial order) and claim the requests
-    /// routed to their channels. Cleared serially at the end of the
-    /// cycle so a thread-count change can never resurrect stale entries.
-    staging: Vec<Ring<MemRequest>>,
-    /// Per-worker minimum of `sm_quiet_until` over the worker's shard,
-    /// written unconditionally by every phase-1 worker and merged into
-    /// [`Self::sm_quiet_min`] in the serial tail.
-    sm_shard_min: Vec<Cycle>,
-    /// Per-worker count of SMs skipped via the quiescence cache this
-    /// cycle (feeds the gate-benefit sample and the active-SM estimate).
-    sm_shard_skips: Vec<u64>,
+    /// DRAM completion scratch, refilled by each channel's step and
+    /// consumed by that channel's partitions in the same memory-loop
+    /// iteration.
+    dram_scratch: Vec<DramRequest>,
+    /// CTAs completed this cycle; only tested for emptiness (the
+    /// refill trigger) and cleared in the tail.
+    completed: Vec<CtaCoord>,
     /// Lazily-maintained machine-wide minimum of `sm_quiet_until`:
-    /// refreshed by the phase-1 merge each cycle and forced to 0 by every
-    /// site that zeroes cache entries outside phase 1 (CTA launches,
-    /// cache resets). Replaces the per-cycle full scan the horizon gate
-    /// used to run in `advance_until_done`.
+    /// refreshed by the SM loop each cycle and forced to 0 by every
+    /// site that zeroes cache entries outside it (CTA launches, cache
+    /// resets). Replaces the per-cycle full scan the horizon gate used
+    /// to run in `advance_until_done`.
     sm_quiet_min: Cycle,
-    /// SMs not skipped as quiescent last cycle — the previous-cycle
-    /// activity estimate `plan_threads` consults instead of rescanning
-    /// the quiescence cache (host-side only; both engine choices are
-    /// bit-identical).
-    sm_active_estimate: usize,
     /// Event-horizon fast-forward: when no component can make progress,
     /// jump the clock to the next event instead of stepping cycle by
     /// cycle. Statistics are bit-identical either way; disabled by the
@@ -131,7 +91,7 @@ pub struct Gpu {
     /// CTA launch, a rebind) touches it first — each of those resets the
     /// entry to 0. Lets the step loop replace a stalled SM's whole
     /// pipeline walk with O(1) analytic stat accounting. The machine-wide
-    /// horizon gate aggregates these per-shard caches with a min scan.
+    /// horizon gate reads their minimum through `sm_quiet_min`.
     sm_quiet_until: Vec<Cycle>,
     /// Per-SM probe backoff: while an SM keeps answering "can progress",
     /// probing it again every cycle is pure overhead (the answer is
@@ -185,64 +145,6 @@ pub struct Gpu {
     /// avoided SM steps (quiet-SM cycles plus machine-wide jump cycles
     /// weighted by SM count).
     gate_benefit: u64,
-    /// Requested intra-simulation worker count (1 = sequential engine).
-    sim_threads: usize,
-    /// Lazily-created persistent worker pool for the parallel phases.
-    pool: Option<ShardPool>,
-    /// Load-aware shard plan: `sm_plan[w]..sm_plan[w+1]` is worker `w`'s
-    /// SM range (contiguous, ascending, covering `0..num_sms`), rebuilt
-    /// from measured per-SM cost at rebalance boundaries. Contiguity in
-    /// ascending SM order is what keeps the staged-request sequence —
-    /// and therefore every per-link send order — identical to the
-    /// sequential engine for *any* plan.
-    sm_plan: Vec<usize>,
-    /// Per-SM host-cost accumulator for the current rebalance window,
-    /// written only by the phase-1 worker owning the SM (disjoint) and
-    /// read/zeroed serially at rebalance boundaries.
-    sm_cost: Vec<u64>,
-    /// Cycle at which the shard plan is next rebuilt from `sm_cost`.
-    next_rebalance: Cycle,
-    /// Rebalance period in simulated cycles ([`Self::REBALANCE_WINDOW`]
-    /// unless overridden for tests).
-    rebalance_window: Cycle,
-    /// Whether `ensure_workers` asks the pool to pin helper threads
-    /// (subject to the `GPU_SIM_NO_PIN` escape hatch inside the pool).
-    pin_workers: bool,
-    /// Measured round-trip cost of one empty pool dispatch, sampled when
-    /// the pool is (re)built; the adaptive controller's floor for when a
-    /// parallel cycle can possibly beat a sequential one.
-    pool_dispatch_ns: u64,
-    /// Measured-cost engine selection: when `true`, windows alternate
-    /// between the sequential and parallel engines based on observed
-    /// ns/cycle (see [`Self::adapt_boundary`]); when `false`,
-    /// `sim_threads` alone decides. Both engines are bit-identical, so
-    /// the selector can never perturb results. Default from
-    /// `GPU_SIM_ADAPT` (unset = on).
-    adaptive: bool,
-    /// The adaptive controller's current choice: `true` dispatches the
-    /// parallel phases (when `sim_threads` allows), `false` runs
-    /// sequentially. Starts `false` so the first window calibrates the
-    /// sequential baseline.
-    adapt_use_par: bool,
-    /// End of the current adaptive measurement window.
-    adapt_window_end: Cycle,
-    /// EMA of host nanoseconds per simulated cycle under each engine;
-    /// NaN until that engine has been measured.
-    adapt_seq_ns: f64,
-    adapt_par_ns: f64,
-    /// Wall-clock instant and simulated cycle at the start of the
-    /// current measurement window.
-    adapt_mark: Option<(std::time::Instant, Cycle)>,
-    /// Windows since the controller last switched engines; forces a
-    /// periodic re-probe of the unused engine so a stale measurement
-    /// cannot lock the choice forever.
-    adapt_windows_in_mode: u32,
-    /// Adaptive-controller lifetime counters for [`Self::adapt_report`]:
-    /// windows closed, windows that ran the parallel engine, and engine
-    /// switches. Host diagnostics, not part of [`Stats`].
-    adapt_windows: u64,
-    adapt_par_windows: u64,
-    adapt_switches: u64,
 }
 
 /// Cap on the per-SM probe-backoff exponent: an SM that keeps answering
@@ -250,379 +152,6 @@ pub struct Gpu {
 /// both the probe overhead on compute-dense phases (~3%) and the delay
 /// before a freshly stalled SM is detected as quiescent.
 const MAX_PROBE_BACKOFF_LOG2: u8 = 5;
-
-/// Shard `w` of `t` over `n` items: the contiguous range
-/// `[w*n/t, (w+1)*n/t)`. Deterministic and independent of execution
-/// order; empty when `w >= t`.
-#[inline]
-fn shard_range(w: usize, n: usize, t: usize) -> std::ops::Range<usize> {
-    if w >= t {
-        return 0..0;
-    }
-    (w * n / t)..((w + 1) * n / t)
-}
-
-/// Build a load-balanced shard plan (boundary list of `t + 1` ascending
-/// cuts over `costs.len()` SMs) from per-SM cost samples: each SM gets
-/// weight `cost + 1` (the `+1` keeps zero-cost SMs from collapsing into
-/// one shard and makes the all-equal case reduce to the equal-count
-/// plan), and shard `s`'s boundary is cut at the first prefix whose
-/// weight reaches `s/t` of the total. Deterministic, contiguous, and
-/// ascending — the properties the fused-injection order proof needs —
-/// for every cost vector.
-fn plan_from_costs(costs: &[u64], t: usize) -> Vec<usize> {
-    let n = costs.len();
-    let mut bounds = vec![0usize; t + 1];
-    bounds[t] = n;
-    let total: u64 = costs.iter().map(|&c| c + 1).sum();
-    let mut acc = 0u64;
-    let mut shard = 1;
-    for (i, &c) in costs.iter().enumerate() {
-        acc += c + 1;
-        // At i == n-1, acc == total, so every remaining cut lands at n:
-        // the plan is always fully populated.
-        while shard < t && acc * (t as u64) >= total * (shard as u64) {
-            bounds[shard] = i + 1;
-            shard += 1;
-        }
-    }
-    bounds
-}
-
-/// Raw-pointer view of the SM-local phase state. Each worker touches
-/// only the SMs in its shard range plus exactly those SMs' reply links,
-/// quiescence-cache entries, and its own staging/completed/summary
-/// slots — disjoint by construction, which is what makes the `Sync`
-/// impl sound.
-struct SmPhase<'a> {
-    sms: *mut Sm,
-    reply: *mut Link<MemReply>,
-    pf_reply: *mut Link<MemReply>,
-    quiet: *mut Cycle,
-    probe_at: *mut Cycle,
-    probe_streak: *mut u8,
-    completed: *mut Vec<CtaCoord>,
-    /// Per-worker staging ring receiving the shard's outbound requests.
-    staging: *mut Ring<MemRequest>,
-    /// Per-worker quiescence-minimum slot (written unconditionally).
-    shard_min: *mut Cycle,
-    /// Per-worker quiet-skip count slot (written unconditionally).
-    shard_skips: *mut u64,
-    /// Shard-plan boundaries (`threads + 1` entries): worker `w` owns
-    /// SMs `plan[w]..plan[w+1]`. Read-only during the phase.
-    plan: *const usize,
-    /// Per-SM cost accumulators for the load-aware planner; entry `i` is
-    /// written only by the worker whose plan range contains `i`.
-    cost: *mut u64,
-    kernels: &'a [Kernel],
-    num_sms: usize,
-    threads: usize,
-    bw: u32,
-    fast_forward: bool,
-    now: Cycle,
-}
-
-// SAFETY: workers dereference disjoint indices (see `shard_range`); the
-// shared `kernels` slice is read-only. All pointed-to types are Send.
-unsafe impl Sync for SmPhase<'_> {}
-
-impl SmPhase<'_> {
-    /// Run the SM-local phase for shard `w`.
-    ///
-    /// # Safety
-    /// At most one concurrent caller per distinct `w`; pointers must be
-    /// valid for `num_sms` elements (`completed`, `staging`, `shard_min`
-    /// and `shard_skips` for `threads`).
-    unsafe fn run_shard(&self, w: usize) {
-        let completed = &mut *self.completed.add(w);
-        let stage = &mut *self.staging.add(w);
-        let mut local_min = Cycle::MAX;
-        let mut local_skips = 0u64;
-        let range = if w < self.threads {
-            *self.plan.add(w)..*self.plan.add(w + 1)
-        } else {
-            0..0
-        };
-        debug_assert!(range.end <= self.num_sms);
-        for i in range {
-            let sm = &mut *self.sms.add(i);
-            let quiet = &mut *self.quiet.add(i);
-            let link = &mut *self.reply.add(i);
-            let pf_link = &mut *self.pf_reply.add(i);
-
-            // 1a. Deliver fills: demand replies first, then the prefetch
-            // virtual channel.
-            link.step(self.now);
-            pf_link.step(self.now);
-            for _ in 0..self.bw {
-                match link.pop_one() {
-                    Some(reply) => {
-                        sm.on_fill(self.now, reply.line);
-                        *quiet = 0;
-                    }
-                    None => break,
-                }
-            }
-            for _ in 0..self.bw {
-                match pf_link.pop_one() {
-                    Some(reply) => {
-                        sm.on_fill(self.now, reply.line);
-                        *quiet = 0;
-                    }
-                    None => break,
-                }
-            }
-
-            // 1b. Pipeline. With fast-forward, an SM that provably cannot
-            // progress this cycle is not stepped: its per-cycle counters
-            // are accounted analytically and the verdict is cached until
-            // its own next event (external events reset the cache to 0).
-            // While probes keep answering "active", probing itself is the
-            // overhead (compute-dense SMs answer yes for thousands of
-            // cycles straight), so consecutive yes-answers back the next
-            // probe off exponentially and the SM is stepped directly in
-            // between — identical to naive stepping, so only quiescence
-            // *detection* is delayed, never the simulated outcome.
-            'pipeline: {
-                if self.fast_forward {
-                    if *quiet > self.now {
-                        sm.account_skipped(1);
-                        local_skips += 1;
-                        break 'pipeline;
-                    }
-                    let probe_at = &mut *self.probe_at.add(i);
-                    if self.now >= *probe_at {
-                        if !sm.can_progress(self.now, self.kernels) {
-                            *self.probe_streak.add(i) = 0;
-                            sm.account_skipped(1);
-                            *quiet = sm.next_event(self.now).unwrap_or(Cycle::MAX);
-                            break 'pipeline;
-                        }
-                        let streak = &mut *self.probe_streak.add(i);
-                        *probe_at = self.now + (1u64 << *streak);
-                        *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                    }
-                }
-                sm.step(self.now, self.kernels, completed);
-                // Load-aware planner sample: only stepped SMs cost real
-                // host time (skipped ones are O(1) accounting), and only
-                // the parallel engine consumes the plan, so the
-                // sequential hot path pays nothing here.
-                if self.threads > 1 {
-                    *self.cost.add(i) += sm.load_weight();
-                }
-            }
-
-            // 1c. Fused injection, producer half: drain the SM's
-            // outbound queues into this worker's staging ring, exactly
-            // as the old serial injection phase did — unconditionally,
-            // for every SM (a quiescent SM's outbound queues are
-            // provably empty, so the drain is a no-op there, but
-            // draining regardless makes the equivalence unconditional).
-            for _ in 0..self.bw {
-                let Some(req) = sm.pop_outbound() else { break };
-                stage.push_back(req);
-            }
-            local_min = local_min.min(*quiet);
-        }
-        *self.shard_min.add(w) = local_min;
-        *self.shard_skips.add(w) = local_skips;
-    }
-}
-
-/// Raw-pointer view of the memory-local phase state, sharded by DRAM
-/// channel. A worker that owns channel `c` also owns every partition
-/// with `p % num_channels == c`, those partitions' request links and
-/// quiescence entries, and the channel's completion scratch — again
-/// disjoint by construction. The staging rings are shared, but strictly
-/// read-only in this phase (phase 1 finished writing them before the
-/// barrier), and each staged request is claimed by exactly one worker
-/// because its destination partition maps to exactly one channel.
-struct MemPhase<'a> {
-    partitions: *mut MemoryPartition,
-    channels: *mut DramChannel,
-    req: *mut Link<MemRequest>,
-    pf_req: *mut Link<MemRequest>,
-    part_quiet: *mut Cycle,
-    part_probe_at: *mut Cycle,
-    part_probe_streak: *mut u8,
-    ch_quiet: *mut Cycle,
-    ch_probe_at: *mut Cycle,
-    ch_probe_streak: *mut u8,
-    scratch: *mut Vec<DramRequest>,
-    /// Phase-1 staging rings, read-only here (consumer half of the
-    /// fused injection).
-    staging: *const Ring<MemRequest>,
-    /// Number of staging rings phase 1 wrote this cycle.
-    num_sm_shards: usize,
-    cfg: &'a GpuConfig,
-    num_partitions: usize,
-    num_channels: usize,
-    threads: usize,
-    bw: u32,
-    /// Interconnect pipe latency, applied at injection.
-    latency: Cycle,
-    fast_forward: bool,
-    now: Cycle,
-}
-
-// SAFETY: as for `SmPhase` — the channel-group decomposition gives each
-// worker exclusive access to everything it dereferences mutably; the
-// staging rings are read-shared and the `cfg` reference is read-only.
-unsafe impl Sync for MemPhase<'_> {}
-
-impl MemPhase<'_> {
-    /// Run the memory-local phase for shard `w`.
-    ///
-    /// # Safety
-    /// At most one concurrent caller per distinct `w`; pointers must be
-    /// valid for their respective element counts; phase 1 must have
-    /// finished writing every staging ring (the pool barrier).
-    unsafe fn run_shard(&self, w: usize) {
-        let range = shard_range(w, self.num_channels, self.threads);
-
-        // Fused injection, consumer half (replaces the old serial
-        // phase 2): walk the complete staged sequence — (shard, position)
-        // order reconstructs the serial engine's (sm_id, queue order) —
-        // and claim only the requests routed to this worker's channels.
-        // Sends land `latency` cycles out, so they cannot interact with
-        // this cycle's link stepping below, exactly like the old
-        // pre-phase-3 serial injection.
-        if !range.is_empty() {
-            for s in 0..self.num_sm_shards {
-                let stage = &*self.staging.add(s);
-                for req in stage.iter() {
-                    let dst = self.cfg.partition_of(req.line);
-                    if !range.contains(&self.cfg.channel_of_partition(dst)) {
-                        continue;
-                    }
-                    let link = if req.kind.is_prefetch() {
-                        &mut *self.pf_req.add(dst)
-                    } else {
-                        &mut *self.req.add(dst)
-                    };
-                    link.send(self.now + self.latency, *req);
-                }
-            }
-        }
-
-        for c in range {
-            let ch = &mut *self.channels.add(c);
-            let ch_quiet = &mut *self.ch_quiet.add(c);
-            let scratch = &mut *self.scratch.add(c);
-
-            // 3a. Request networks → partitions (consumer-checked
-            // ejection; demand channel first).
-            let mut p = c;
-            while p < self.num_partitions {
-                let part = &mut *self.partitions.add(p);
-                let quiet = &mut *self.part_quiet.add(p);
-                for link in [&mut *self.req.add(p), &mut *self.pf_req.add(p)] {
-                    link.step(self.now);
-                    for _ in 0..self.bw {
-                        let Some(req) = link.peek() else {
-                            break;
-                        };
-                        if !part.can_accept(req.kind) {
-                            break;
-                        }
-                        let req = link.pop_one().expect("peeked");
-                        part.accept(self.now, req);
-                        *quiet = 0;
-                    }
-                }
-                p += self.num_channels;
-            }
-
-            // 3b. The DRAM channel advances; completions collect in the
-            // per-channel scratch. A channel whose probe says "nothing
-            // matures, no bank ready" would step as a pure no-op, so
-            // under fast-forward it is skipped outright until its own
-            // next timer — only a partition pushing a request can
-            // unquiesce it earlier, and that push resets the cache below.
-            scratch.clear();
-            let mut ch_stepped = false;
-            if self.fast_forward {
-                if *ch_quiet > self.now {
-                    // skip
-                } else {
-                    let probe_at = &mut *self.ch_probe_at.add(c);
-                    let mut progress = true;
-                    if self.now >= *probe_at {
-                        let streak = &mut *self.ch_probe_streak.add(c);
-                        if ch.can_progress(self.now) {
-                            *probe_at = self.now + (1u64 << *streak);
-                            *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                        } else {
-                            *streak = 0;
-                            *ch_quiet = ch.next_event(self.now).unwrap_or(Cycle::MAX);
-                            progress = false;
-                        }
-                    }
-                    if progress {
-                        ch.step(self.now, scratch);
-                        ch_stepped = true;
-                    }
-                }
-            } else {
-                ch.step(self.now, scratch);
-                ch_stepped = true;
-            }
-
-            // 3c. Partitions service inputs and emit replies. Under
-            // fast-forward a partition provably stalled until
-            // `part_quiet_until[p]` only accounts its per-cycle stall
-            // counter; the cache is reset on every event that can
-            // unblock it (an accepted request above, a DRAM fill, or any
-            // step of its channel — which can free queue space or MSHRs).
-            let mut p = c;
-            while p < self.num_partitions {
-                let part = &mut *self.partitions.add(p);
-                let quiet = &mut *self.part_quiet.add(p);
-                if self.fast_forward {
-                    if ch_stepped {
-                        *quiet = 0;
-                    }
-                    let has_fill =
-                        !scratch.is_empty() && scratch.iter().any(|r| r.partition == p);
-                    if !has_fill {
-                        if *quiet > self.now {
-                            part.account_skipped(1);
-                            p += self.num_channels;
-                            continue;
-                        }
-                        // The `can_progress` probe walks L2 tags and the
-                        // MSHR tables — comparable cost to the step it
-                        // would save. After a successful probe, step
-                        // blindly for a geometrically growing window
-                        // (stepping a stalled partition is stats-identical
-                        // to `account_skipped`, so this never changes
-                        // results, only delays quiescence detection).
-                        let probe_at = &mut *self.part_probe_at.add(p);
-                        if self.now >= *probe_at {
-                            if !part.can_progress(self.now, ch) {
-                                *self.part_probe_streak.add(p) = 0;
-                                part.account_skipped(1);
-                                *quiet = part.next_event(self.now).unwrap_or(Cycle::MAX);
-                                p += self.num_channels;
-                                continue;
-                            }
-                            let streak = &mut *self.part_probe_streak.add(p);
-                            *probe_at = self.now + (1u64 << *streak);
-                            *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                        }
-                    }
-                }
-                let pending_before = ch.pending();
-                part.step(self.now, ch, scratch);
-                if ch.pending() != pending_before {
-                    *ch_quiet = 0;
-                }
-                p += self.num_channels;
-            }
-        }
-    }
-}
 
 impl Gpu {
     /// Build a GPU running `kernel` with per-SM prefetchers from
@@ -706,13 +235,9 @@ impl Gpu {
             channels,
             distributor,
             cycle: 0,
-            dram_scratch: (0..num_channels).map(|_| Vec::new()).collect(),
-            completed_shards: vec![Vec::new()],
-            staging: Vec::new(),
-            sm_shard_min: Vec::new(),
-            sm_shard_skips: Vec::new(),
+            dram_scratch: Vec::new(),
+            completed: Vec::new(),
             sm_quiet_min: 0,
-            sm_active_estimate: num_sms,
             fast_forward: std::env::var_os("GPU_SIM_NO_SKIP").is_none(),
             skipped_cycles: 0,
             skip_events: 0,
@@ -731,24 +256,6 @@ impl Gpu {
             gate_window_end: Self::GATE_WINDOW,
             gate_off_span: Self::GATE_WINDOW,
             gate_benefit: 0,
-            sim_threads: threads_from_env(),
-            pool: None,
-            sm_plan: vec![0, num_sms],
-            sm_cost: vec![0; num_sms],
-            next_rebalance: Self::REBALANCE_WINDOW,
-            rebalance_window: Self::REBALANCE_WINDOW,
-            pin_workers: true,
-            pool_dispatch_ns: 0,
-            adaptive: adaptive_from_env(),
-            adapt_use_par: false,
-            adapt_window_end: 0,
-            adapt_seq_ns: f64::NAN,
-            adapt_par_ns: f64::NAN,
-            adapt_mark: None,
-            adapt_windows_in_mode: 0,
-            adapt_windows: 0,
-            adapt_par_windows: 0,
-            adapt_switches: 0,
         }
     }
 
@@ -779,7 +286,6 @@ impl Gpu {
     fn reset_quiescence_caches(&mut self) {
         self.sm_quiet_until.fill(0);
         self.sm_quiet_min = 0;
-        self.sm_active_estimate = self.cfg.num_sms;
         self.sm_probe_at.fill(0);
         self.sm_probe_streak.fill(0);
         self.part_quiet_until.fill(0);
@@ -788,78 +294,6 @@ impl Gpu {
         self.ch_quiet_until.fill(0);
         self.ch_probe_at.fill(0);
         self.ch_probe_streak.fill(0);
-    }
-
-    /// Set the intra-simulation worker count (1 = the sequential
-    /// engine). Output is bit-identical for every value; `n` only
-    /// changes host-side execution. Defaults to `GPU_SIM_THREADS`
-    /// (forced to 1 by `GPU_SIM_SEQ=1`).
-    pub fn set_sim_threads(&mut self, n: usize) {
-        let n = n.max(1);
-        if n != self.sim_threads {
-            self.sim_threads = n;
-            self.pool = None; // re-created at the right width on demand
-        }
-    }
-
-    /// The configured intra-simulation worker count.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// Enable or disable the measured-cost seq-vs-par engine selector.
-    /// Host-side only: both engines are bit-identical, so this cannot
-    /// change results — benches disable it to measure the pure parallel
-    /// engine. Resets the controller's measurements.
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-        self.adapt_use_par = false;
-        self.adapt_window_end = self.cycle;
-        self.adapt_seq_ns = f64::NAN;
-        self.adapt_par_ns = f64::NAN;
-        self.adapt_mark = None;
-        self.adapt_windows_in_mode = 0;
-    }
-
-    /// Whether the adaptive engine selector is live.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Enable or disable pinning of pool helper threads to CPUs (still
-    /// subject to the `GPU_SIM_NO_PIN` escape hatch). Rebuilds the pool
-    /// on the next parallel cycle so the change takes effect.
-    pub fn set_pinning(&mut self, on: bool) {
-        if self.pin_workers != on {
-            self.pin_workers = on;
-            self.pool = None;
-        }
-    }
-
-    /// Override the shard-plan rebalance period (simulated cycles). The
-    /// next rebalance is scheduled `window` cycles from now.
-    pub fn set_shard_rebalance_window(&mut self, window: Cycle) {
-        self.rebalance_window = window.max(1);
-        self.next_rebalance = self.cycle + self.rebalance_window;
-    }
-
-    /// Install an explicit shard plan (boundary list, `len == t + 1`
-    /// where `t = sim_threads.min(num_sms)`, starting at 0, ending at
-    /// `num_sms`, non-decreasing). The plan persists until the next
-    /// rebalance boundary replaces it with a measured one — differential
-    /// tests use this to force skewed shard loads. Panics on malformed
-    /// plans.
-    pub fn set_shard_plan(&mut self, plan: Vec<usize>) {
-        let t = self.sim_threads.min(self.cfg.num_sms).max(1);
-        assert_eq!(plan.len(), t + 1, "plan must have one boundary per shard edge");
-        assert_eq!(plan[0], 0, "plan must start at SM 0");
-        assert_eq!(*plan.last().unwrap(), self.cfg.num_sms, "plan must cover every SM");
-        assert!(
-            plan.windows(2).all(|w| w[0] <= w[1]),
-            "plan boundaries must be non-decreasing"
-        );
-        self.sm_plan = plan;
-        self.sm_cost.fill(0);
     }
 
     /// Current simulated cycle.
@@ -922,9 +356,9 @@ impl Gpu {
     ///
     /// With a single tenant and any policy this is bit-identical to
     /// [`Self::run_launches`]`(1, _)`: tenant 0's address/PC offsets are
-    /// the identity and the dispatch paths coincide. All three engines
-    /// (naive, fast-forward, parallel) agree bit-identically on both
-    /// `Stats` and the per-tenant `KernelStats` under every policy.
+    /// the identity and the dispatch paths coincide. Naive stepping and
+    /// fast-forward agree bit-identically on both `Stats` and the
+    /// per-tenant `KernelStats` under every policy.
     ///
     /// # Panics
     /// If `kernels` is empty or longer than [`MAX_TENANTS`], or the GPU
@@ -995,8 +429,8 @@ impl Gpu {
             // Machine-wide quiescence requires every SM quiescent, so the
             // cheap per-SM cache gates the full probe. The cached
             // machine-wide minimum `sm_quiet_min` — refreshed by the
-            // phase-1 merge and forced to 0 by every out-of-phase cache
-            // reset — replaces the full `sm_quiet_until` scan this loop
+            // SM loop and forced to 0 by every cache reset outside it —
+            // replaces the full `sm_quiet_until` scan this loop
             // used to run every cycle: in busy phases the per-cycle gate
             // overhead is now O(1). The minimum is an upper bound on how
             // far a skip could jump (the horizon takes the min over
@@ -1009,9 +443,6 @@ impl Gpu {
             // results.
             if now >= self.tenant_window_end {
                 self.tenant_boundary(now);
-            }
-            if self.adaptive && self.sim_threads > 1 && now >= self.adapt_window_end {
-                self.adapt_boundary(now);
             }
             if self.fast_forward {
                 if now >= self.gate_window_end {
@@ -1028,7 +459,7 @@ impl Gpu {
                             // In tenant mode, jumps clamp to the next
                             // interference-monitor boundary so throttle
                             // updates land at the same simulated cycle
-                            // under every engine.
+                            // in both stepping modes.
                             let target = self
                                 .horizon(now)
                                 .unwrap_or(max_cycles)
@@ -1093,91 +524,12 @@ impl Gpu {
         self.gate_benefit = 0;
     }
 
-    /// Measurement window of the adaptive engine selector, in simulated
-    /// cycles. Long enough that one pool dispatch per cycle amortises
-    /// into a stable ns/cycle sample, short enough to catch phase
-    /// changes (CTA waves, drain tails) within a few windows.
-    const ADAPT_WINDOW: Cycle = 4096;
-    /// Windows spent in one engine before the other is force-probed:
-    /// workload phases change (a quiet drain tail follows a busy wave),
-    /// so a measurement must not lock the choice forever.
-    const ADAPT_REPROBE_WINDOWS: u32 = 16;
-
-    /// Close of an adaptive measurement window at cycle `now`: fold the
-    /// window's measured ns/cycle into the current engine's EMA, then
-    /// choose the engine for the next window. Decision order: calibrate
-    /// the sequential baseline first; stay sequential while the
-    /// previous window's active-SM estimate says the machine is nearly
-    /// idle (a barrier over one busy SM is pure loss) or while a whole
-    /// sequential cycle costs less than the measured pool dispatch
-    /// alone (the parallel engine cannot win even with free shards);
-    /// otherwise probe, then pick the measured argmin with hysteresis.
-    /// Purely host-time scheduling — both engines are bit-identical.
-    fn adapt_boundary(&mut self, now: Cycle) {
-        let t_now = std::time::Instant::now();
-        if let Some((mark, start_cycle)) = self.adapt_mark {
-            let cycles = now.saturating_sub(start_cycle).max(1);
-            let ns = t_now.duration_since(mark).as_nanos() as f64 / cycles as f64;
-            let slot = if self.adapt_use_par {
-                &mut self.adapt_par_ns
-            } else {
-                &mut self.adapt_seq_ns
-            };
-            *slot = if slot.is_nan() { ns } else { 0.5 * *slot + 0.5 * ns };
-        }
-        self.adapt_windows_in_mode += 1;
-        let seq = self.adapt_seq_ns;
-        let par = self.adapt_par_ns;
-        let dispatch_floor = self.pool_dispatch_ns as f64 * 1.25;
-        let next_par = if seq.is_nan()
-            || self.sm_active_estimate < 2
-            || (self.pool_dispatch_ns > 0 && seq <= dispatch_floor)
-        {
-            false
-        } else if par.is_nan() {
-            true
-        } else if self.adapt_windows_in_mode >= Self::ADAPT_REPROBE_WINDOWS {
-            !self.adapt_use_par
-        } else if self.adapt_use_par {
-            // Hysteresis: hold the current engine unless the other is
-            // clearly (>10%) cheaper, so noise cannot cause thrashing.
-            seq >= par * 0.9
-        } else {
-            par < seq * 0.9
-        };
-        if next_par != self.adapt_use_par {
-            self.adapt_windows_in_mode = 0;
-            self.adapt_switches += 1;
-        }
-        self.adapt_windows += 1;
-        if next_par {
-            self.adapt_par_windows += 1;
-        }
-        self.adapt_use_par = next_par;
-        self.adapt_mark = Some((t_now, now));
-        self.adapt_window_end = now + Self::ADAPT_WINDOW;
-    }
-
-    /// The adaptive engine selector's measured ns-per-cycle EMAs and
-    /// window/switch counters. Host-side diagnostics only — like
-    /// [`Self::link_report`], *not* part of the bit-identity contract.
-    pub fn adapt_report(&self) -> AdaptReport {
-        let clean = |x: f64| if x.is_nan() { 0.0 } else { x };
-        AdaptReport {
-            seq_ns_per_cycle: clean(self.adapt_seq_ns),
-            par_ns_per_cycle: clean(self.adapt_par_ns),
-            windows: self.adapt_windows,
-            par_windows: self.adapt_par_windows,
-            switches: self.adapt_switches,
-        }
-    }
-
     /// Close of an interference-monitor window at cycle `now`: attribute
     /// the window's L2 misses to tenants via the tags every request
     /// carries, let the monitor pick throttle levels, and install them
     /// on every SM. Decisions read only bit-identical simulated
     /// counters, and fast-forward jumps clamp to these boundaries, so
-    /// all three engines throttle identically.
+    /// naive and fast-forward stepping throttle identically.
     fn tenant_boundary(&mut self, now: Cycle) {
         let mut ts = self.tenants.take().expect("tenant boundary without tenants");
         let mut misses = [0u64; MAX_TENANTS];
@@ -1264,7 +616,6 @@ impl Gpu {
         }
         self.tenants = Some(ts);
         self.sm_quiet_min = 0;
-        self.sm_active_estimate = num_sms;
     }
 
     /// Demand-driven refill in tenant mode, run in the serial tail when
@@ -1380,12 +731,6 @@ impl Gpu {
         out
     }
 
-    /// Shard-plan rebalance period in simulated cycles. Plans are
-    /// rebuilt only at these boundaries, in the serial tail, from cost
-    /// counters each phase-1 worker accumulated over its own SMs — the
-    /// rebuild is host-side scheduling and cannot perturb results.
-    const REBALANCE_WINDOW: Cycle = 4096;
-
     /// Smallest estimated jump worth the fast-forward machinery, and the
     /// initial value of the adaptive threshold. Tuned on SCN
     /// (compute-bound, short quiescent gaps between execution timers),
@@ -1430,8 +775,8 @@ impl Gpu {
     }
 
     /// Whether a [`Self::step`] at `now` would change any state anywhere
-    /// in the machine. Ordered cheapest-first; each arm mirrors one step
-    /// phase. Over-approximation (a `true` for a no-op cycle) is safe —
+    /// in the machine. Ordered cheapest-first; each arm mirrors one part
+    /// of the step. Over-approximation (a `true` for a no-op cycle) is safe —
     /// it merely steps naively; `false` must be exact.
     fn can_progress(&self, now: Cycle) -> bool {
         // DRAM: a completion matures or a bank can issue a command.
@@ -1573,10 +918,9 @@ impl Gpu {
             self.sms[sm].launch_cta(coord, 0, kernel);
             self.sm_quiet_until[sm] = 0;
         }
-        // Cache entries were zeroed outside phase 1; the cached minimum
-        // must see it.
+        // Cache entries were zeroed outside the SM loop; the cached
+        // minimum must see it.
         self.sm_quiet_min = 0;
-        self.sm_active_estimate = self.cfg.num_sms;
     }
 
     fn done(&self) -> bool {
@@ -1594,30 +938,6 @@ impl Gpu {
             && self.channels.iter().all(|c| c.pending() == 0)
     }
 
-    /// Worker count for this cycle: the configured `sim_threads`,
-    /// clamped to the SM count, with an automatic sequential fallback
-    /// when so few SMs are active that a barrier synchronisation would
-    /// cost more than the parallel phase saves. Uses the previous
-    /// cycle's activity estimate (maintained by the phase-1 merge)
-    /// instead of rescanning the quiescence cache — one cycle of lag in
-    /// a host-side scheduling hint. Both engines are bit-identical, so
-    /// the per-cycle choice cannot perturb results.
-    fn plan_threads(&self) -> usize {
-        let t = self.sim_threads.min(self.cfg.num_sms);
-        if t < 2 {
-            return 1;
-        }
-        // The adaptive controller's per-window verdict overrides the
-        // static thread request (measured, not guessed).
-        if self.adaptive && !self.adapt_use_par {
-            return 1;
-        }
-        if self.ff_active() && self.sm_active_estimate < 2 {
-            return 1;
-        }
-        t
-    }
-
     /// Whether this cycle runs with the fast-forward machinery live:
     /// requires both the mode flag and an open skip-rate gate.
     #[inline]
@@ -1625,136 +945,16 @@ impl Gpu {
         self.fast_forward && self.ff_gate_open
     }
 
-    fn ensure_workers(&mut self, t: usize) {
-        if self.completed_shards.len() < t {
-            self.completed_shards.resize_with(t, Vec::new);
-        }
-        if self.staging.len() < t {
-            // A shard can stage at most `icnt_bandwidth` requests per SM
-            // per cycle, so this bound keeps staging allocation-free even
-            // if one worker ends up owning every SM.
-            let cap = self.cfg.num_sms * self.cfg.icnt_bandwidth as usize;
-            self.staging.resize_with(t, || Ring::with_capacity(cap));
-        }
-        if self.sm_shard_min.len() < t {
-            self.sm_shard_min.resize(t, Cycle::MAX);
-            self.sm_shard_skips.resize(t, 0);
-        }
-        if self.sm_plan.len() != t + 1 {
-            // Width changed (including seq↔par flips): restart from the
-            // equal plan; measured costs re-skew it at the next
-            // rebalance boundary.
-            self.sm_plan = (0..=t).map(|w| w * self.cfg.num_sms / t).collect();
-            self.sm_cost.fill(0);
-            self.next_rebalance = self.cycle + self.rebalance_window;
-        }
-        if t > 1 && self.pool.as_ref().map(ShardPool::width) != Some(t) {
-            let pool = ShardPool::with_affinity(t - 1, self.pin_workers);
-            // One-time calibration: the measured empty-dispatch cost is
-            // the adaptive controller's floor for "can parallel win".
-            self.pool_dispatch_ns = pool.measure_dispatch_ns();
-            self.pool = Some(pool);
-        }
-    }
-
-    /// Advance the whole GPU one core cycle: the two fused parallel
-    /// phases (SM-local + staging, staged injection + memory-local)
-    /// separated by at most one barrier, then the serial tail.
+    /// Advance the whole GPU one core cycle: the SM loop, the memory
+    /// loop, then the tail.
     pub fn step(&mut self) {
         let now = self.cycle;
-        let t = self.plan_threads();
-        self.ensure_workers(t);
+        self.step_sms(now);
+        self.step_memory(now);
 
-        // Phases 1+2: SM-local (parallel over SMs, staging outbound
-        // requests per shard) and memory-local (parallel over channel
-        // groups, claiming staged requests for owned channels). One pool
-        // dispatch, one internal barrier — the only serial
-        // synchronisation point inside the cycle.
-        {
-            let staging = self.staging.as_mut_ptr();
-            let sm_ctx = SmPhase {
-                sms: self.sms.as_mut_ptr(),
-                reply: self.reply_net.links_mut().as_mut_ptr(),
-                pf_reply: self.pf_reply_net.links_mut().as_mut_ptr(),
-                quiet: self.sm_quiet_until.as_mut_ptr(),
-                probe_at: self.sm_probe_at.as_mut_ptr(),
-                probe_streak: self.sm_probe_streak.as_mut_ptr(),
-                completed: self.completed_shards.as_mut_ptr(),
-                staging,
-                shard_min: self.sm_shard_min.as_mut_ptr(),
-                shard_skips: self.sm_shard_skips.as_mut_ptr(),
-                plan: self.sm_plan.as_ptr(),
-                cost: self.sm_cost.as_mut_ptr(),
-                kernels: &self.kernels,
-                num_sms: self.cfg.num_sms,
-                threads: t,
-                bw: self.cfg.icnt_bandwidth,
-                fast_forward: self.ff_active(),
-                now,
-            };
-            let mem_ctx = MemPhase {
-                partitions: self.partitions.as_mut_ptr(),
-                channels: self.channels.as_mut_ptr(),
-                req: self.req_net.links_mut().as_mut_ptr(),
-                pf_req: self.pf_req_net.links_mut().as_mut_ptr(),
-                part_quiet: self.part_quiet_until.as_mut_ptr(),
-                part_probe_at: self.part_probe_at.as_mut_ptr(),
-                part_probe_streak: self.part_probe_streak.as_mut_ptr(),
-                ch_quiet: self.ch_quiet_until.as_mut_ptr(),
-                ch_probe_at: self.ch_probe_at.as_mut_ptr(),
-                ch_probe_streak: self.ch_probe_streak.as_mut_ptr(),
-                scratch: self.dram_scratch.as_mut_ptr(),
-                staging: staging as *const _,
-                num_sm_shards: t,
-                cfg: &self.cfg,
-                num_partitions: self.cfg.num_partitions,
-                num_channels: self.cfg.num_dram_channels,
-                threads: t.min(self.cfg.num_dram_channels),
-                bw: self.cfg.icnt_bandwidth,
-                latency: self.cfg.icnt_latency as Cycle,
-                fast_forward: self.ff_active(),
-                now,
-            };
-            if t > 1 {
-                let pool = self.pool.as_ref().expect("pool ensured");
-                // SAFETY: each worker index maps to a disjoint SM shard
-                // in phase 1 and a disjoint channel group in phase 2
-                // (idle workers get an empty group); the pool barrier
-                // orders every phase-1 staging write before any phase-2
-                // read.
-                pool.run2(
-                    &|w| unsafe { sm_ctx.run_shard(w) },
-                    &|w| unsafe { mem_ctx.run_shard(w) },
-                );
-            } else {
-                // SAFETY: single caller covers every shard, in phase
-                // order.
-                unsafe {
-                    sm_ctx.run_shard(0);
-                    mem_ctx.run_shard(0);
-                }
-            }
-        }
-
-        // Serial tail (a): merge the per-shard quiescence summaries into
-        // the cached machine-wide minimum, the gate-benefit sample (each
-        // quiet SM this cycle is one avoided pipeline walk), and the
-        // next cycle's activity estimate. All host-side.
-        let mut min_quiet = Cycle::MAX;
-        let mut skips = 0u64;
-        for w in 0..t {
-            min_quiet = min_quiet.min(self.sm_shard_min[w]);
-            skips += self.sm_shard_skips[w];
-        }
-        self.sm_quiet_min = min_quiet;
-        self.sm_active_estimate = self.cfg.num_sms.saturating_sub(skips as usize);
-        self.gate_benefit += skips;
-
-        // Serial tail (b): partitions → reply networks, in fixed
-        // partition order (the merge that keeps reply-link packet order
-        // identical to sequential stepping), then demand-driven CTA
-        // refill (Fig. 3): completed CTAs free slots; the distributor
-        // hands out the next CTA ids.
+        // Tail: partitions → reply networks in fixed partition order,
+        // then demand-driven CTA refill (Fig. 3): completed CTAs free
+        // slots; the distributor hands out the next CTA ids.
         for p in 0..self.cfg.num_partitions {
             for _ in 0..self.cfg.icnt_bandwidth {
                 let Some(reply) = self.partitions[p].reply_out.pop() else {
@@ -1769,31 +969,204 @@ impl Gpu {
                 self.pf_reply_net.send(now, reply.sm, reply);
             }
         }
-        if self.completed_shards.iter().any(|c| !c.is_empty()) {
+        if !self.completed.is_empty() {
             self.refill_ctas();
-            for c in &mut self.completed_shards {
-                c.clear();
-            }
-        }
-
-        // Serial tail (c): every staged request was claimed by exactly
-        // one phase-2 worker; clear the rings so next cycle (possibly
-        // with a different worker count) starts from empty.
-        for stage in &mut self.staging {
-            stage.clear();
-        }
-
-        // Serial tail (d): at rebalance boundaries, rebuild the shard
-        // plan from the window's measured per-SM cost. Serial, host-only
-        // — the plan changes which worker steps which SM, never what any
-        // SM computes, so bit-identity is untouched by construction.
-        if t > 1 && now >= self.next_rebalance {
-            self.sm_plan = plan_from_costs(&self.sm_cost, t);
-            self.sm_cost.fill(0);
-            self.next_rebalance = now + self.rebalance_window;
+            self.completed.clear();
         }
 
         self.cycle += 1;
+    }
+
+    /// The SM loop: per SM, deliver fills, advance the pipeline, and
+    /// send its outbound requests. Every send lands `icnt_latency`
+    /// cycles out and happens before [`Self::step_memory`] steps any
+    /// request link, so each link receives its packets in
+    /// `(sm, queue order)`.
+    fn step_sms(&mut self, now: Cycle) {
+        let ff = self.ff_active();
+        let bw = self.cfg.icnt_bandwidth;
+        let mut min_quiet = Cycle::MAX;
+        let mut skips = 0u64;
+        let replies = self.reply_net.links_mut();
+        let pf_replies = self.pf_reply_net.links_mut();
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            let quiet = &mut self.sm_quiet_until[i];
+
+            // Deliver fills: demand replies first, then the prefetch
+            // virtual channel.
+            for link in [&mut replies[i], &mut pf_replies[i]] {
+                link.step(now);
+                for _ in 0..bw {
+                    let Some(reply) = link.pop_one() else { break };
+                    sm.on_fill(now, reply.line);
+                    *quiet = 0;
+                }
+            }
+
+            // Pipeline. With fast-forward, an SM that provably cannot
+            // progress this cycle is not stepped: its per-cycle counters
+            // are accounted analytically and the verdict is cached until
+            // its own next event (external events reset the cache to 0).
+            // While probes keep answering "active", probing itself is the
+            // overhead (compute-dense SMs answer yes for thousands of
+            // cycles straight), so consecutive yes-answers back the next
+            // probe off exponentially and the SM is stepped directly in
+            // between — identical to naive stepping, so only quiescence
+            // *detection* is delayed, never the simulated outcome.
+            'pipeline: {
+                if ff {
+                    if *quiet > now {
+                        sm.account_skipped(1);
+                        skips += 1;
+                        break 'pipeline;
+                    }
+                    let probe_at = &mut self.sm_probe_at[i];
+                    if now >= *probe_at {
+                        let streak = &mut self.sm_probe_streak[i];
+                        if !sm.can_progress(now, &self.kernels) {
+                            *streak = 0;
+                            sm.account_skipped(1);
+                            *quiet = sm.next_event(now).unwrap_or(Cycle::MAX);
+                            break 'pipeline;
+                        }
+                        *probe_at = now + (1u64 << *streak);
+                        *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
+                    }
+                }
+                sm.step(now, &self.kernels, &mut self.completed);
+            }
+
+            // Injection, unconditionally for every SM (a quiescent SM's
+            // outbound queues are provably empty, so this is a no-op
+            // there, but draining regardless keeps the order argument
+            // free of fast-forward state).
+            for _ in 0..bw {
+                let Some(req) = sm.pop_outbound() else { break };
+                let dst = self.cfg.partition_of(req.line);
+                let net = if req.kind.is_prefetch() {
+                    &mut self.pf_req_net
+                } else {
+                    &mut self.req_net
+                };
+                net.send(now, dst, req);
+            }
+            min_quiet = min_quiet.min(*quiet);
+        }
+        // Each quiet SM this cycle is one avoided pipeline walk.
+        self.sm_quiet_min = min_quiet;
+        self.gate_benefit += skips;
+    }
+
+    /// The memory loop, per DRAM channel: eject requests into the
+    /// channel's partitions, advance the channel, then advance its
+    /// partitions.
+    fn step_memory(&mut self, now: Cycle) {
+        let ff = self.ff_active();
+        let bw = self.cfg.icnt_bandwidth;
+        let num_partitions = self.cfg.num_partitions;
+        let num_channels = self.cfg.num_dram_channels;
+        let reqs = self.req_net.links_mut();
+        let pf_reqs = self.pf_req_net.links_mut();
+        let scratch = &mut self.dram_scratch;
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            let ch_quiet = &mut self.ch_quiet_until[c];
+
+            // Request networks → partitions (consumer-checked ejection;
+            // demand channel first).
+            for p in (c..num_partitions).step_by(num_channels) {
+                let part = &mut self.partitions[p];
+                for link in [&mut reqs[p], &mut pf_reqs[p]] {
+                    link.step(now);
+                    for _ in 0..bw {
+                        let Some(req) = link.peek() else { break };
+                        if !part.can_accept(req.kind) {
+                            break;
+                        }
+                        let req = link.pop_one().expect("peeked");
+                        part.accept(now, req);
+                        self.part_quiet_until[p] = 0;
+                    }
+                }
+            }
+
+            // The DRAM channel advances; completions collect in the
+            // scratch. A channel whose probe says "nothing matures, no
+            // bank ready" would step as a pure no-op, so under
+            // fast-forward it is skipped outright until its own next
+            // timer — only a partition pushing a request can unquiesce
+            // it earlier, and that push resets the cache below.
+            scratch.clear();
+            let mut ch_stepped = false;
+            if !ff {
+                ch.step(now, scratch);
+                ch_stepped = true;
+            } else if *ch_quiet <= now {
+                let probe_at = &mut self.ch_probe_at[c];
+                let mut progress = true;
+                if now >= *probe_at {
+                    let streak = &mut self.ch_probe_streak[c];
+                    if ch.can_progress(now) {
+                        *probe_at = now + (1u64 << *streak);
+                        *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
+                    } else {
+                        *streak = 0;
+                        *ch_quiet = ch.next_event(now).unwrap_or(Cycle::MAX);
+                        progress = false;
+                    }
+                }
+                if progress {
+                    ch.step(now, scratch);
+                    ch_stepped = true;
+                }
+            }
+
+            // Partitions service inputs and emit replies. Under
+            // fast-forward a partition provably stalled until
+            // `part_quiet_until[p]` only accounts its per-cycle stall
+            // counter; the cache is reset on every event that can
+            // unblock it (an accepted request above, a DRAM fill, or any
+            // step of its channel — which can free queue space or MSHRs).
+            for p in (c..num_partitions).step_by(num_channels) {
+                let part = &mut self.partitions[p];
+                let quiet = &mut self.part_quiet_until[p];
+                if ff {
+                    if ch_stepped {
+                        *quiet = 0;
+                    }
+                    let has_fill = scratch.iter().any(|r| r.partition == p);
+                    if !has_fill {
+                        if *quiet > now {
+                            part.account_skipped(1);
+                            continue;
+                        }
+                        // The `can_progress` probe walks L2 tags and the
+                        // MSHR tables — comparable cost to the step it
+                        // would save. After a successful probe, step
+                        // blindly for a geometrically growing window
+                        // (stepping a stalled partition is stats-identical
+                        // to `account_skipped`, so this never changes
+                        // results, only delays quiescence detection).
+                        let probe_at = &mut self.part_probe_at[p];
+                        if now >= *probe_at {
+                            let streak = &mut self.part_probe_streak[p];
+                            if !part.can_progress(now, ch) {
+                                *streak = 0;
+                                part.account_skipped(1);
+                                *quiet = part.next_event(now).unwrap_or(Cycle::MAX);
+                                continue;
+                            }
+                            *probe_at = now + (1u64 << *streak);
+                            *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
+                        }
+                    }
+                }
+                let pending_before = ch.pending();
+                part.step(now, ch, scratch);
+                if ch.pending() != pending_before {
+                    *ch_quiet = 0;
+                }
+            }
+        }
     }
 
     fn refill_ctas(&mut self) {
@@ -1817,16 +1190,14 @@ impl Gpu {
             }
         }
         if launched {
-            // A launch zeroed cache entries after the phase-1 merge ran;
-            // keep the cached minimum consistent with the entries.
+            // A launch zeroed cache entries after the SM loop ran; keep
+            // the cached minimum consistent with the entries.
             self.sm_quiet_min = 0;
         }
     }
 
-    /// Aggregate statistics across SMs, partitions, channels, networks.
-    /// Per-shard counters (SM stats, partition stats, channel counters,
-    /// per-lane network stalls) merge here in fixed component order —
-    /// the only cross-shard statistics flow in the engine.
+    /// Aggregate statistics across SMs, partitions, channels, networks,
+    /// in fixed component order.
     pub fn collect_stats(&mut self) -> Stats {
         let mut total = Stats::default();
         for sm in &mut self.sms {
@@ -1864,7 +1235,7 @@ impl Gpu {
     /// activations aggregated over every ring in the memory path.
     /// Host-side reporting only — fast-forward changes how often stalled
     /// producers retry, so these counters legitimately differ between
-    /// engines and are *not* part of the bit-identity contract (unlike
+    /// stepping modes and are *not* part of the bit-identity contract (unlike
     /// [`Stats`]).
     pub fn link_report(&self) -> LinkReport {
         let mut sm_ports = PortSnapshot::default();
@@ -1879,14 +1250,6 @@ impl Gpu {
         for c in &self.channels {
             dram_queues.absorb(c.port_snapshot());
         }
-        let mut staging = PortSnapshot::default();
-        for s in &self.staging {
-            staging.absorb(PortSnapshot {
-                high_water: s.high_water(),
-                credit_stalls: 0,
-                grows: s.grows(),
-            });
-        }
         LinkReport {
             req_net: self.req_net.snapshot(),
             pf_req_net: self.pf_req_net.snapshot(),
@@ -1895,7 +1258,6 @@ impl Gpu {
             sm_ports,
             partition_ports,
             dram_queues,
-            staging,
         }
     }
 
@@ -1913,44 +1275,6 @@ impl Gpu {
     pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
     }
-}
-
-/// Worker count from the environment: `GPU_SIM_SEQ=1` forces the
-/// sequential engine; otherwise `GPU_SIM_THREADS=N` selects the
-/// parallel engine with `N` workers (default 1).
-fn threads_from_env() -> usize {
-    if std::env::var_os("GPU_SIM_SEQ").is_some_and(|v| v != "0") {
-        return 1;
-    }
-    std::env::var("GPU_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Adaptive engine selection from the environment: on unless
-/// `GPU_SIM_ADAPT` is set to `0`/`off`/`false`.
-fn adaptive_from_env() -> bool {
-    match std::env::var("GPU_SIM_ADAPT") {
-        Ok(v) => !matches!(v.as_str(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
-/// Compile-time guarantee that everything the phase contexts hand to
-/// pool workers is safe to move across threads.
-#[allow(dead_code)]
-fn assert_shard_state_is_send() {
-    fn ok<T: Send>() {}
-    ok::<Sm>();
-    ok::<MemoryPartition>();
-    ok::<DramChannel>();
-    ok::<Link<MemRequest>>();
-    ok::<Link<MemReply>>();
-    ok::<Ring<MemRequest>>();
-    ok::<Vec<CtaCoord>>();
-    ok::<Vec<DramRequest>>();
 }
 
 #[cfg(test)]
@@ -2137,51 +1461,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_is_bit_identical_across_thread_counts() {
-        // The real grid lives in the metrics differential suite; this is
-        // the gpu-level smoke for both fast-forward settings.
-        for ff in [true, false] {
-            let mut reference: Option<Stats> = None;
-            for threads in [1usize, 2, 3, 4] {
-                let cfg = GpuConfig::test_small();
-                let mut gpu = Gpu::new(cfg, stride_kernel(64, 4), &*null_factory());
-                gpu.set_fast_forward(ff);
-                gpu.set_sim_threads(threads);
-                gpu.set_adaptive(false); // force the parallel engine on
-                let stats = gpu.run(1_000_000);
-                match &reference {
-                    None => reference = Some(stats),
-                    Some(want) => {
-                        assert_eq!(&stats, want, "threads={threads} ff={ff} diverged")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_matches_under_cycle_caps_and_relaunches() {
-        for cap in [137, 5_000] {
-            let cfg = GpuConfig::test_small();
-            let mut seq = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-            seq.set_sim_threads(1);
-            let mut par = Gpu::new(cfg, stride_kernel(32, 4), &*null_factory());
-            par.set_sim_threads(3);
-            par.set_adaptive(false);
-            assert_eq!(
-                seq.run_launches(2, cap),
-                par.run_launches(2, cap),
-                "cap {cap}"
-            );
-        }
-    }
-
-    #[test]
     fn link_report_sees_traffic_and_steady_state_never_grows() {
         let cfg = GpuConfig::test_small();
         let mut gpu = Gpu::new(cfg, stride_kernel(16, 4), &*null_factory());
-        gpu.set_sim_threads(2);
-        gpu.set_adaptive(false);
         let stats = gpu.run(1_000_000);
         assert_eq!(stats.ctas_completed, 16);
         let report = gpu.link_report();
@@ -2190,131 +1472,9 @@ mod tests {
         assert!(report.sm_ports.high_water > 0);
         assert!(report.partition_ports.high_water > 0);
         assert!(report.dram_queues.high_water > 0);
-        assert!(report.staging.high_water > 0, "fused injection staged requests");
         // Every ring on the memory path is sized from its producers'
         // in-flight bounds, so a run must never hit the growth valve.
         assert_eq!(report.total().grows, 0, "steady state must not allocate");
-    }
-
-    #[test]
-    fn plan_from_costs_balances_and_stays_contiguous() {
-        // All-equal costs reduce to the equal-count plan.
-        assert_eq!(plan_from_costs(&[0; 15], 4), vec![0, 4, 8, 12, 15]);
-        // One hot SM pulls a whole shard to itself.
-        let mut costs = vec![0u64; 8];
-        costs[0] = 1_000;
-        let plan = plan_from_costs(&costs, 4);
-        assert_eq!(plan[0], 0);
-        assert_eq!(plan[4], 8);
-        assert_eq!(plan[1], 1, "the hot SM should own shard 0 alone");
-        // Invariants for arbitrary-ish inputs: full coverage, ascending.
-        for t in 1..=6 {
-            for costs in [
-                vec![0u64; 6],
-                vec![5, 0, 0, 0, 0, 5],
-                vec![1, 2, 3, 4, 5, 6],
-                vec![100, 1, 100, 1, 100, 1],
-            ] {
-                let plan = plan_from_costs(&costs, t);
-                assert_eq!(plan.len(), t + 1);
-                assert_eq!(plan[0], 0);
-                assert_eq!(plan[t], costs.len());
-                assert!(plan.windows(2).all(|w| w[0] <= w[1]), "{plan:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_shard_plans_are_bit_identical() {
-        // A deliberately terrible plan (one worker owns almost every SM)
-        // must still produce identical stats — the contiguous-ascending
-        // property, not balance, is what the equivalence proof uses.
-        // test_small has only 2 SMs; widen it so the skew is real.
-        let mut cfg = GpuConfig::test_small();
-        cfg.num_sms = 8;
-        let n = cfg.num_sms;
-        let mut seq = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-        seq.set_sim_threads(1);
-        let mut par = Gpu::new(cfg, stride_kernel(32, 4), &*null_factory());
-        par.set_sim_threads(3);
-        par.set_adaptive(false);
-        // Disable fast-forward on both sides so the near-drain
-        // sequential fallback can't swap the skewed plan out mid-run.
-        seq.set_fast_forward(false);
-        par.set_fast_forward(false);
-        // Keep the skewed plan alive for the whole run.
-        par.set_shard_rebalance_window(1_000_000);
-        par.set_shard_plan(vec![0, 1, 2, n]);
-        assert_eq!(seq.run(1_000_000), par.run(1_000_000));
-    }
-
-    #[test]
-    fn frequent_rebalancing_is_bit_identical() {
-        // Rebalance every few cycles so many different measured plans
-        // are exercised inside one run.
-        let mut cfg = GpuConfig::test_small();
-        cfg.num_sms = 8;
-        let mut seq = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-        seq.set_sim_threads(1);
-        let mut par = Gpu::new(cfg, stride_kernel(32, 4), &*null_factory());
-        par.set_sim_threads(4);
-        par.set_adaptive(false);
-        par.set_shard_rebalance_window(7);
-        assert_eq!(seq.run(1_000_000), par.run(1_000_000));
-    }
-
-    #[test]
-    fn adaptive_engine_selection_is_bit_identical() {
-        // The controller may switch engines mid-run at window
-        // boundaries; every mixture must match pure-sequential.
-        let cfg = GpuConfig::test_small();
-        let mut seq = Gpu::new(cfg.clone(), stride_kernel(64, 4), &*null_factory());
-        seq.set_sim_threads(1);
-        seq.set_adaptive(false);
-        let mut adaptive = Gpu::new(cfg, stride_kernel(64, 4), &*null_factory());
-        adaptive.set_sim_threads(4);
-        adaptive.set_adaptive(true);
-        assert_eq!(seq.run(1_000_000), adaptive.run(1_000_000));
-    }
-
-    #[test]
-    fn pinning_choice_is_bit_identical() {
-        let cfg = GpuConfig::test_small();
-        let mut reference: Option<Stats> = None;
-        for pin in [false, true] {
-            let mut gpu = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-            gpu.set_sim_threads(2);
-            gpu.set_adaptive(false);
-            gpu.set_pinning(pin);
-            let stats = gpu.run(1_000_000);
-            match &reference {
-                None => reference = Some(stats),
-                Some(want) => assert_eq!(&stats, want, "pin={pin} diverged"),
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "plan must cover every SM")]
-    fn malformed_shard_plan_is_rejected() {
-        let cfg = GpuConfig::test_small(); // 2 SMs
-        let mut gpu = Gpu::new(cfg, stride_kernel(8, 4), &*null_factory());
-        gpu.set_sim_threads(2);
-        gpu.set_shard_plan(vec![0, 1, 1]);
-    }
-
-    #[test]
-    fn sim_threads_can_change_between_runs() {
-        let cfg = GpuConfig::test_small();
-        let mut gpu = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory());
-        gpu.set_sim_threads(2);
-        let a = gpu.run(1_000_000);
-        let mut gpu2 = Gpu::new(cfg, stride_kernel(16, 4), &*null_factory());
-        gpu2.set_sim_threads(4);
-        gpu2.set_sim_threads(1);
-        assert_eq!(gpu2.sim_threads(), 1);
-        let b = gpu2.run(1_000_000);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -2359,17 +1519,13 @@ mod tests {
         let tenants = [stride_kernel(12, 4), stride_kernel(8, 2)];
         for policy in Partitioning::all() {
             let mut reference = None;
-            for (threads, ff) in [(1, false), (1, true), (4, true)] {
+            for ff in [false, true] {
                 let mut gpu = Gpu::new(cfg.clone(), tenants[0].clone(), &*null_factory());
-                gpu.set_sim_threads(threads);
-                gpu.set_adaptive(false);
                 gpu.set_fast_forward(ff);
                 let got = gpu.run_tenants(&tenants, policy, 2_000_000);
                 match &reference {
                     None => reference = Some(got),
-                    Some(want) => {
-                        assert_eq!(&got, want, "{policy} threads={threads} ff={ff}")
-                    }
+                    Some(want) => assert_eq!(&got, want, "{policy} ff={ff}"),
                 }
             }
         }

@@ -10,11 +10,8 @@
 //! the unified port layer, [`crate::port`]) with no shared mutable state
 //! between links: each link carries its own preallocated pipe ring,
 //! bounded eject [`crate::port::Port`], stall counter and wake bound.
-//! That layout is what the phase-split parallel cycle engine in
-//! [`crate::gpu`] shards on: a worker that owns destination `d` may
-//! mutate link `d` while other workers mutate theirs, with no atomics
-//! and no locks, and the summed statistics are identical to sequential
-//! stepping by construction.
+//! The cycle loop in [`crate::gpu`] steps and drains each link next to
+//! the component that consumes it.
 
 pub use crate::port::Link;
 use crate::port::PortSnapshot;
@@ -106,9 +103,8 @@ impl<T> Network<T> {
         }
     }
 
-    /// Exclusive access to every link, for sharding: the parallel engine
-    /// splits this slice so each worker steps and drains only the links
-    /// of the destinations it owns.
+    /// Exclusive access to every link, so the cycle loop can step and
+    /// drain destination `d`'s link right before its consumer runs.
     #[inline]
     pub fn links_mut(&mut self) -> &mut [Link<T>] {
         &mut self.links
@@ -392,9 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn link_sharding_view_matches_whole_network_stepping() {
-        // Stepping links individually through `links_mut` (as the
-        // parallel engine does) must behave exactly like `Network::step`.
+    fn per_link_stepping_matches_whole_network_stepping() {
+        // Stepping links individually through `links_mut` (as the cycle
+        // loop does) must behave exactly like `Network::step`.
         let mut whole: Network<u32> = Network::new(3, 2, 2, 1, 8);
         let mut sharded: Network<u32> = Network::new(3, 2, 2, 1, 8);
         for i in 0..9u32 {

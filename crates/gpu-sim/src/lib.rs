@@ -55,14 +55,12 @@ pub mod kernel;
 pub mod linemap;
 pub mod mshr;
 pub mod partition;
-pub mod pool;
 pub mod port;
 pub mod prefetch;
 pub mod sched;
 pub mod sm;
 pub mod stats;
 pub mod tenant;
-pub mod topo;
 pub mod trace;
 pub mod types;
 pub mod warp;
@@ -81,7 +79,7 @@ pub mod prelude {
         PrefetcherFactory,
     };
     pub use crate::sched::{make_scheduler, TwoLevelScheduler, WarpScheduler};
-    pub use crate::stats::{AdaptReport, KernelStats, Stats};
+    pub use crate::stats::{KernelStats, Stats};
     pub use crate::tenant::{Partitioning, TenantState};
     pub use crate::types::{
         line_base, AccessKind, Addr, CtaCoord, CtaSlot, Cycle, KernelId, Pc, WarpSlot, MAX_TENANTS,

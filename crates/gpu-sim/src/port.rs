@@ -395,9 +395,8 @@ impl<T> Iterator for PortDrain<'_, T> {
 }
 
 /// One crossbar output: a timed pipe of in-flight messages feeding a
-/// bounded eject [`Port`]. Links are fully independent — the parallel
-/// engine hands each memory-side shard exclusive `&mut` access to its
-/// own links.
+/// bounded eject [`Port`]. Links are fully independent: stepping or
+/// draining one never touches another.
 #[derive(Debug)]
 pub struct Link<T> {
     /// In-flight messages (arrival cycle, payload); arrival cycles are

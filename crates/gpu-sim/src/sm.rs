@@ -253,16 +253,6 @@ impl Sm {
         self.active_warps
     }
 
-    /// Host-time cost estimate of stepping this SM one cycle, for the
-    /// load-aware shard planner: a stepped SM walks its scheduler and
-    /// pipeline roughly in proportion to its resident warps, with a
-    /// constant floor for the fixed per-step bookkeeping. Host-side
-    /// scheduling hint only — never feeds simulated state.
-    #[inline]
-    pub fn load_weight(&self) -> u64 {
-        1 + self.active_warps as u64
-    }
-
     /// Whether the SM has fully drained (no warps, queues, or misses).
     pub fn is_idle(&self) -> bool {
         self.active_warps == 0

@@ -35,8 +35,6 @@ pub struct LinkReport {
     pub partition_ports: PortSnapshot,
     /// DRAM channel FR-FCFS request queues.
     pub dram_queues: PortSnapshot,
-    /// Fused-injection staging rings (phase-1 → phase-2 hand-off).
-    pub staging: PortSnapshot,
 }
 
 impl LinkReport {
@@ -50,31 +48,8 @@ impl LinkReport {
         t.absorb(self.sm_ports);
         t.absorb(self.partition_ports);
         t.absorb(self.dram_queues);
-        t.absorb(self.staging);
         t
     }
-}
-
-/// Host-side view of the adaptive engine-selection controller: the
-/// current per-window ns-per-cycle EMA samples for the sequential and
-/// parallel engines, plus decision counters. Like [`LinkReport`], this
-/// measures *host* execution and is exempt from the bit-identity
-/// contract — wall-clock samples legitimately differ between runs even
-/// though every architectural statistic matches.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AdaptReport {
-    /// EMA of host nanoseconds per simulated cycle under the sequential
-    /// engine (0.0 until the first sequential window completes).
-    pub seq_ns_per_cycle: f64,
-    /// EMA of host nanoseconds per simulated cycle under the parallel
-    /// engine (0.0 until the first parallel window completes).
-    pub par_ns_per_cycle: f64,
-    /// Measurement windows the controller evaluated.
-    pub windows: u64,
-    /// Windows the controller spent in the parallel engine.
-    pub par_windows: u64,
-    /// Engine switches the controller made mid-run.
-    pub switches: u64,
 }
 
 /// Per-kernel (tenant) statistics for a co-resident run: the subset of

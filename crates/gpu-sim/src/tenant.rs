@@ -19,7 +19,7 @@
 //! that is thrashing the shared L2/DRAM path (see
 //! [`InterferenceMonitor`]). The monitor reads only simulated state, so
 //! its decisions — and therefore all statistics — remain bit-identical
-//! across the naive, fast-forward, and parallel engines.
+//! across naive stepping and fast-forward.
 
 use crate::cta_scheduler::CtaDistributor;
 use crate::kernel::Kernel;
@@ -227,7 +227,7 @@ impl TenantState {
     }
 
     /// Tenant `t`'s SM range under `SmSplit` over `num_sms` SMs (the
-    /// contiguous equal split; same shape as the engine's shard ranges).
+    /// contiguous equal split).
     pub fn sm_range(&self, t: usize, num_sms: usize) -> std::ops::Range<usize> {
         let n = self.ctxs.len();
         (t * num_sms / n)..((t + 1) * num_sms / n)

@@ -34,14 +34,14 @@
 //! (unlinked), and a reader that loses the race observes a clean miss —
 //! never a torn record.
 //!
-//! The execution-mode fields of [`RunOpts`] (`fast_forward`,
-//! `sim_threads`) are deliberately **excluded** from the key: they are
-//! host-execution-only and bit-identity across them is enforced by the
-//! differential suites, so a record computed by any engine mode
-//! satisfies every other. `max_cycles` *is* keyed — a lower ceiling
-//! truncates runs. The only per-record field exempt from bit-identity is
-//! the [`LinkReport`](caps_gpu_sim::stats::LinkReport) observability
-//! block, which may legitimately differ across execution modes.
+//! The execution-mode field of [`RunOpts`] (`fast_forward`) is
+//! deliberately **excluded** from the key: it is host-execution-only
+//! and bit-identity across it is enforced by the differential suites,
+//! so a record computed in either mode satisfies the other.
+//! `max_cycles` *is* keyed — a lower ceiling truncates runs. The only
+//! per-record field exempt from bit-identity is the
+//! [`LinkReport`](caps_gpu_sim::stats::LinkReport) observability block,
+//! which may legitimately differ across execution modes.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -56,7 +56,7 @@ use crate::harness::{RunOpts, RunRecord, RunSpec};
 /// Version of the on-disk entry layout. Bump when the JSON shape of a
 /// cache entry changes (the *content* key already tracks simulator
 /// source through the build fingerprint).
-pub const CACHE_SCHEMA_VERSION: u64 = 2;
+pub const CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// FNV-1a fingerprint of the simulator-stack sources, baked in by
 /// `build.rs`. Part of every cache key.
@@ -487,12 +487,7 @@ mod tests {
         let a = job_digest(&spec(), &RunOpts::default());
         let modes = RunOpts {
             fast_forward: Some(false),
-            sim_threads: Some(4),
             max_cycles: None,
-            adaptive: Some(false),
-            pin: Some(false),
-            shard_rebalance_window: Some(7),
-            shard_plan: Some(vec![0, 1, 1, 2, 2]),
         };
         assert_eq!(a, job_digest(&spec(), &modes));
     }

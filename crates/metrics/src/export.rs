@@ -11,7 +11,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use caps_gpu_sim::port::PortSnapshot;
-use caps_gpu_sim::stats::{AdaptReport, KernelStats, LinkReport, Stats};
+use caps_gpu_sim::stats::{KernelStats, LinkReport, Stats};
 use caps_json::{obj, Error, Value};
 
 use crate::energy::EnergyBreakdown;
@@ -116,8 +116,7 @@ macro_rules! for_each_link_field {
             pf_reply_net,
             sm_ports,
             partition_ports,
-            dram_queues,
-            staging
+            dram_queues
         )
     };
 }
@@ -198,29 +197,6 @@ fn kernel_stats_from_value(v: &Value) -> Result<KernelStats, Error> {
     Ok(k)
 }
 
-/// Serialize an adaptive-controller report (shared with the simulation
-/// service's `stats` reply, which streams recent per-run samples).
-pub fn adapt_to_value(a: &AdaptReport) -> Value {
-    obj(vec![
-        ("seq_ns_per_cycle", Value::Float(a.seq_ns_per_cycle)),
-        ("par_ns_per_cycle", Value::Float(a.par_ns_per_cycle)),
-        ("windows", Value::UInt(a.windows)),
-        ("par_windows", Value::UInt(a.par_windows)),
-        ("switches", Value::UInt(a.switches)),
-    ])
-}
-
-/// Parse an adaptive-controller report.
-pub fn adapt_from_value(v: &Value) -> Result<AdaptReport, Error> {
-    Ok(AdaptReport {
-        seq_ns_per_cycle: v.require("seq_ns_per_cycle")?.as_f64()?,
-        par_ns_per_cycle: v.require("par_ns_per_cycle")?.as_f64()?,
-        windows: v.require("windows")?.as_u64()?,
-        par_windows: v.require("par_windows")?.as_u64()?,
-        switches: v.require("switches")?.as_u64()?,
-    })
-}
-
 /// Serialize one record (shared with the result cache's entry files and
 /// the simulation service's streamed `record` replies).
 pub fn record_to_value(r: &RunRecord) -> Value {
@@ -234,7 +210,6 @@ pub fn record_to_value(r: &RunRecord) -> Value {
             "per_kernel",
             Value::Arr(r.per_kernel.iter().map(kernel_stats_to_value).collect()),
         ),
-        ("adapt", adapt_to_value(&r.adapt)),
     ])
 }
 
@@ -260,10 +235,6 @@ pub fn record_from_value(v: &Value) -> Result<RunRecord, Error> {
                 .map(kernel_stats_from_value)
                 .collect::<Result<_, _>>()?,
             None => Vec::new(),
-        },
-        adapt: match v.get("adapt") {
-            Some(av) => adapt_from_value(av)?,
-            None => AdaptReport::default(),
         },
     })
 }
@@ -523,55 +494,26 @@ pub fn opts_to_value(o: &RunOpts) -> Value {
     if let Some(b) = o.fast_forward {
         fields.push(("fast_forward".to_string(), Value::Bool(b)));
     }
-    if let Some(n) = o.sim_threads {
-        fields.push(("sim_threads".to_string(), Value::UInt(n as u64)));
-    }
     if let Some(n) = o.max_cycles {
         fields.push(("max_cycles".to_string(), Value::UInt(n)));
-    }
-    if let Some(b) = o.adaptive {
-        fields.push(("adaptive".to_string(), Value::Bool(b)));
-    }
-    if let Some(b) = o.pin {
-        fields.push(("pin".to_string(), Value::Bool(b)));
-    }
-    if let Some(w) = o.shard_rebalance_window {
-        fields.push(("shard_rebalance_window".to_string(), Value::UInt(w)));
-    }
-    if let Some(plan) = &o.shard_plan {
-        fields.push((
-            "shard_plan".to_string(),
-            Value::Arr(plan.iter().map(|&b| Value::UInt(b as u64)).collect()),
-        ));
     }
     Value::Obj(fields)
 }
 
 /// Parse run options (missing fields mean "environment default").
 pub fn opts_from_value(v: &Value) -> Result<RunOpts, Error> {
-    let bool_field = |name: &str| -> Result<Option<bool>, Error> {
-        match v.get(name) {
-            None => Ok(None),
-            Some(Value::Bool(b)) => Ok(Some(*b)),
-            Some(other) => Err(Error::schema(format!("expected bool {name}, got {other:?}"))),
+    let fast_forward = match v.get("fast_forward") {
+        None => None,
+        Some(Value::Bool(b)) => Some(*b),
+        Some(other) => {
+            return Err(Error::schema(format!(
+                "expected bool fast_forward, got {other:?}"
+            )))
         }
     };
     Ok(RunOpts {
-        fast_forward: bool_field("fast_forward")?,
-        sim_threads: v.get("sim_threads").map(|n| Ok(n.as_u64()? as usize)).transpose()?,
+        fast_forward,
         max_cycles: v.get("max_cycles").map(Value::as_u64).transpose()?,
-        adaptive: bool_field("adaptive")?,
-        pin: bool_field("pin")?,
-        shard_rebalance_window: v.get("shard_rebalance_window").map(Value::as_u64).transpose()?,
-        shard_plan: v
-            .get("shard_plan")
-            .map(|p| {
-                p.as_arr()?
-                    .iter()
-                    .map(|b| Ok(b.as_u64()? as usize))
-                    .collect::<Result<Vec<_>, Error>>()
-            })
-            .transpose()?,
     })
 }
 
@@ -630,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn co_run_records_round_trip_per_kernel_and_adapt() {
+    fn co_run_records_round_trip_per_kernel() {
         let spec = RunSpec::small(Workload::Scn, Engine::Caps)
             .co_resident(vec![Workload::Mrq], caps_gpu_sim::tenant::Partitioning::Shared);
         let r = run_one(&spec);
@@ -638,14 +580,12 @@ mod tests {
         let back = from_json(&to_json(std::slice::from_ref(&r))).expect("parses");
         assert_eq!(back[0].per_kernel, r.per_kernel);
         assert_eq!(back[0].stats, r.stats);
-        assert_eq!(back[0].adapt.windows, r.adapt.windows);
-        assert_eq!(back[0].adapt.seq_ns_per_cycle, r.adapt.seq_ns_per_cycle);
     }
 
     #[test]
     fn pre_tenant_records_parse_with_empty_per_kernel() {
         // The on-disk shape before the multi-tenant layer: no
-        // `per_kernel`, no `adapt`, no `links`.
+        // `per_kernel`, no `links`.
         let r = run_one(&RunSpec::small(Workload::Scn, Engine::Baseline));
         let legacy = Value::Arr(vec![obj(vec![
             ("workload", Value::Str(r.workload.clone())),
@@ -657,7 +597,6 @@ mod tests {
         let back = from_json(&legacy).expect("legacy shape parses");
         assert_eq!(back[0].stats, r.stats);
         assert!(back[0].per_kernel.is_empty());
-        assert_eq!(back[0].adapt, AdaptReport::default());
     }
 
     #[test]
@@ -696,12 +635,7 @@ mod tests {
 
         let full = RunOpts {
             fast_forward: Some(false),
-            sim_threads: Some(3),
             max_cycles: Some(12345),
-            adaptive: Some(true),
-            pin: Some(false),
-            shard_rebalance_window: Some(64),
-            shard_plan: Some(vec![0, 5, 10, 15]),
         };
         assert_eq!(opts_from_value(&opts_to_value(&full)).unwrap(), full);
     }

@@ -1,8 +1,8 @@
 //! The sweep farm: a work-stealing run service over whole simulations.
 //!
-//! Whole runs are embarrassingly parallel (and on this host parallelize
-//! far better than intra-simulation threading), so the farm schedules at
-//! run granularity: a batch of heterogeneous [`FarmJob`]s is drained by
+//! Whole runs are embarrassingly parallel, and the farm is the only
+//! source of host parallelism: each simulation steps on one thread, and
+//! the farm schedules at run granularity: a batch of heterogeneous [`FarmJob`]s is drained by
 //! a pool of workers stealing jobs off a shared atomic index, and every
 //! job resolves through three tiers:
 //!
@@ -167,8 +167,8 @@ fn parse_hex_key(s: &str) -> Option<u128> {
 pub struct FarmJob {
     /// What to simulate.
     pub spec: RunSpec,
-    /// Host-execution overrides (fast-forward, intra-sim threads, cycle
-    /// ceiling). Only `max_cycles` participates in the content key.
+    /// Host-execution overrides (fast-forward, cycle ceiling). Only
+    /// `max_cycles` participates in the content key.
     pub opts: RunOpts,
 }
 

@@ -1,20 +1,17 @@
 //! Parallel experiment harness.
 //!
-//! Parallelism exists at two levels. The evaluation matrix — engines ×
-//! benchmarks × configuration sweeps — is embarrassingly parallel, and
-//! [`run_matrix`] fans runs out through the [sweep farm](crate::farm),
-//! which adds work-stealing workers, content-addressed result caching,
-//! and submission dedup while keeping results order-stable and every
-//! run deterministic. A single simulation can additionally use the
-//! phase-split parallel cycle engine (`RunOpts::sim_threads`, or the
-//! `GPU_SIM_THREADS` environment variable), which is bit-identical to
-//! sequential stepping for every thread count.
+//! The evaluation matrix — engines × benchmarks × configuration sweeps
+//! — is embarrassingly parallel, and [`run_matrix`] fans runs out
+//! through the [sweep farm](crate::farm), which adds work-stealing
+//! workers, content-addressed result caching, and submission dedup
+//! while keeping results order-stable and every run deterministic.
+//! That is the only parallelism: each simulation steps on one thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use caps_gpu_sim::config::GpuConfig;
 use caps_gpu_sim::gpu::Gpu;
-use caps_gpu_sim::stats::{AdaptReport, KernelStats, LinkReport, Stats};
+use caps_gpu_sim::stats::{KernelStats, LinkReport, Stats};
 use caps_gpu_sim::tenant::Partitioning;
 use caps_workloads::{Scale, Workload};
 
@@ -132,10 +129,6 @@ pub struct RunRecord {
     /// surface; `start_cycle`/`finish_cycle` bound each tenant's
     /// residency window.
     pub per_kernel: Vec<KernelStats>,
-    /// Adaptive-controller summary (seq/par ns-per-cycle EMAs, window
-    /// and switch counts). Host-side observability like `links`: exempt
-    /// from the bit-identity contract.
-    pub adapt: AdaptReport,
 }
 
 impl RunRecord {
@@ -146,31 +139,16 @@ impl RunRecord {
 }
 
 /// Per-run overrides for [`run_one_with_opts`]; `None`/default leaves
-/// the environment-derived behavior untouched. Every field is
-/// host-execution-only: no combination changes a run's statistics.
+/// the environment-derived behavior untouched. `fast_forward` is
+/// host-execution-only and never changes a run's statistics;
+/// `max_cycles` truncates the run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOpts {
     /// Event-horizon fast-forward on/off (overrides `GPU_SIM_NO_SKIP`).
     pub fast_forward: Option<bool>,
-    /// Intra-simulation worker count for the phase-split engine
-    /// (overrides `GPU_SIM_THREADS`; 1 = sequential).
-    pub sim_threads: Option<usize>,
     /// Cycle ceiling override (default [`caps_gpu_sim::gpu::DEFAULT_MAX_CYCLES`]);
     /// the differential suite uses it to bound full-scale runs.
     pub max_cycles: Option<u64>,
-    /// Measured seq-vs-par engine selection on/off (overrides
-    /// `GPU_SIM_ADAPT`). Benches force `Some(false)` so a requested
-    /// thread count is actually exercised.
-    pub adaptive: Option<bool>,
-    /// Pin phase-split workers to distinct cores (default on; the
-    /// `GPU_SIM_NO_PIN` environment opt-out still wins when set).
-    pub pin: Option<bool>,
-    /// Cycles between load-aware shard-plan rebalances.
-    pub shard_rebalance_window: Option<u64>,
-    /// Explicit initial shard plan (`sim_threads + 1` ascending SM
-    /// boundaries); the differential suite uses skewed plans to prove
-    /// any contiguous split is bit-identical.
-    pub shard_plan: Option<Vec<usize>>,
 }
 
 /// Execute one spec (blocking).
@@ -200,21 +178,6 @@ pub fn run_one_with_opts(spec: &RunSpec, opts: &RunOpts) -> RunRecord {
     let mut gpu = Gpu::new(cfg, kernel, &*factory);
     if let Some(on) = opts.fast_forward {
         gpu.set_fast_forward(on);
-    }
-    if let Some(n) = opts.sim_threads {
-        gpu.set_sim_threads(n);
-    }
-    if let Some(on) = opts.adaptive {
-        gpu.set_adaptive(on);
-    }
-    if let Some(on) = opts.pin {
-        gpu.set_pinning(on);
-    }
-    if let Some(w) = opts.shard_rebalance_window {
-        gpu.set_shard_rebalance_window(w);
-    }
-    if let Some(plan) = &opts.shard_plan {
-        gpu.set_shard_plan(plan.clone());
     }
     let max_cycles = opts
         .max_cycles
@@ -249,7 +212,6 @@ pub fn run_one_with_opts(spec: &RunSpec, opts: &RunOpts) -> RunRecord {
         energy,
         links: gpu.link_report(),
         per_kernel,
-        adapt: gpu.adapt_report(),
     }
 }
 

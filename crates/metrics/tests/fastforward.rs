@@ -7,15 +7,26 @@
 //! naive cycle-by-cycle stepping, on every workload and engine.
 //!
 //! This suite runs the full workload suite at small scale under a
-//! representative cross-section of engines and compares the two modes
-//! field by field.
+//! representative cross-section of engines, and at paper scale under a
+//! cycle cap, and compares the two modes field by field.
 
-use caps_metrics::{run_one_with_fast_forward, Engine, RunSpec};
+use caps_metrics::{run_one_with_opts, Engine, RunOpts, RunSpec};
 use caps_workloads::all_workloads;
 
 fn assert_modes_agree(spec: &RunSpec) {
-    let fast = run_one_with_fast_forward(spec, true);
-    let naive = run_one_with_fast_forward(spec, false);
+    assert_modes_agree_capped(spec, None);
+}
+
+fn assert_modes_agree_capped(spec: &RunSpec, max_cycles: Option<u64>) {
+    let run = |ff: bool| {
+        let opts = RunOpts {
+            fast_forward: Some(ff),
+            max_cycles,
+        };
+        run_one_with_opts(spec, &opts)
+    };
+    let fast = run(true);
+    let naive = run(false);
     assert_eq!(
         fast.stats, naive.stats,
         "stats diverged on {} / {}",
@@ -68,5 +79,20 @@ fn fast_forward_matches_naive_across_engines() {
     for engine in engines {
         assert_modes_agree(&RunSpec::small(Workload::Bfs, engine));
         assert_modes_agree(&RunSpec::small(Workload::Mm, engine));
+    }
+}
+
+/// Every workload under BASE and CAPS at paper scale — the real 15-SM /
+/// 12-partition / 6-channel geometry, with multi-partition channels —
+/// cut off by a cycle cap. Caps of this size land mid-flight in every
+/// workload, so the comparison covers warm steady state (in-flight
+/// interconnect traffic, populated MSHRs, active FR-FCFS reordering)
+/// and a jump clamped to the cap, not just drained end states.
+#[test]
+fn fast_forward_matches_naive_at_full_scale_capped() {
+    for w in all_workloads() {
+        for engine in [Engine::Baseline, Engine::Caps] {
+            assert_modes_agree_capped(&RunSpec::paper(w, engine), Some(60_000));
+        }
     }
 }

@@ -5,55 +5,44 @@
 //! 1. **Degenerate-case equivalence** — a single-tenant co-run under
 //!    *any* partitioning policy is bit-identical to the classic
 //!    `run_launches` path (tenant 0 keeps identity address, PC, and
-//!    stats mappings), under every stepping engine and worker count.
-//! 2. **Cross-engine determinism** — a genuine co-run (two tenants,
+//!    stats mappings), under both stepping modes.
+//! 2. **Cross-mode determinism** — a genuine co-run (two tenants,
 //!    contended L2/DRAM, interference monitor live) produces identical
 //!    machine-wide `Stats` *and* identical per-tenant `KernelStats`
-//!    under naive stepping, event-horizon fast-forward, and the
-//!    phase-split parallel engine at 2 and 4 workers.
+//!    under naive stepping and event-horizon fast-forward.
 
-use caps_metrics::{run_one_with_opts, Engine, Partitioning, RunOpts, RunRecord, RunSpec};
+use caps_metrics::{run_one_with_fast_forward, Engine, Partitioning, RunRecord, RunSpec};
 use caps_workloads::Workload;
 
-/// The stepping-engine grid: (fast_forward, sim_threads). Adaptive
-/// selection is pinned off so each requested engine actually runs.
-const MODES: [(bool, usize); 4] = [(false, 1), (true, 1), (true, 2), (true, 4)];
+/// The stepping modes, as `fast_forward` settings: naive, then fast.
+const MODES: [bool; 2] = [false, true];
 
-fn run_mode(spec: &RunSpec, fast_forward: bool, threads: usize) -> RunRecord {
-    run_one_with_opts(
-        spec,
-        &RunOpts {
-            fast_forward: Some(fast_forward),
-            sim_threads: Some(threads),
-            adaptive: Some(false),
-            ..RunOpts::default()
-        },
-    )
+fn run_mode(spec: &RunSpec, fast_forward: bool) -> RunRecord {
+    run_one_with_fast_forward(spec, fast_forward)
 }
 
 #[test]
 fn exclusive_single_tenant_matches_run_launches_across_engines() {
     for engine in [Engine::Baseline, Engine::Caps] {
         let solo = RunSpec::small(Workload::Scn, engine);
-        let reference = run_mode(&solo, false, 1);
+        let reference = run_mode(&solo, false);
         // The solo path itself must agree across engines...
-        for (ff, threads) in MODES {
-            let r = run_mode(&solo, ff, threads);
+        for ff in MODES {
+            let r = run_mode(&solo, ff);
             assert_eq!(
                 r.stats, reference.stats,
-                "solo {engine:?} diverged at ff={ff} threads={threads}"
+                "solo {engine:?} diverged at ff={ff}"
             );
         }
         // ...and the single-tenant co-run path must be bit-identical to
-        // it under every policy × engine × worker count.
+        // it under every policy × stepping mode.
         for policy in Partitioning::all() {
             let tenant = solo.clone().co_resident(Vec::new(), policy);
-            for (ff, threads) in MODES {
-                let r = run_mode(&tenant, ff, threads);
+            for ff in MODES {
+                let r = run_mode(&tenant, ff);
                 assert_eq!(
                     r.stats, reference.stats,
-                    "{engine:?}/{policy} single-tenant diverged from run_launches \
-                     at ff={ff} threads={threads}"
+                    "{engine:?}/{policy} single-tenant diverged from run_launches at ff={ff}"
                 );
                 assert_eq!(r.per_kernel.len(), 1);
                 assert_eq!(
@@ -77,23 +66,21 @@ fn co_runs_are_bit_identical_across_engines() {
     for (a, b) in pairings {
         for policy in Partitioning::all() {
             let spec = RunSpec::small(a, Engine::Caps).co_resident(vec![b], policy);
-            let reference = run_mode(&spec, false, 1);
+            let reference = run_mode(&spec, false);
             assert_eq!(reference.per_kernel.len(), 2);
             assert!(
                 reference.per_kernel.iter().all(|k| k.ctas_completed > 0),
                 "{a:?}+{b:?}/{policy}: both tenants must finish"
             );
-            for (ff, threads) in MODES[1..].iter().copied() {
-                let r = run_mode(&spec, ff, threads);
-                assert_eq!(
-                    r.stats, reference.stats,
-                    "{a:?}+{b:?}/{policy} machine stats diverged at ff={ff} threads={threads}"
-                );
-                assert_eq!(
-                    r.per_kernel, reference.per_kernel,
-                    "{a:?}+{b:?}/{policy} per-tenant stats diverged at ff={ff} threads={threads}"
-                );
-            }
+            let r = run_mode(&spec, true);
+            assert_eq!(
+                r.stats, reference.stats,
+                "{a:?}+{b:?}/{policy} machine stats diverged under fast-forward"
+            );
+            assert_eq!(
+                r.per_kernel, reference.per_kernel,
+                "{a:?}+{b:?}/{policy} per-tenant stats diverged under fast-forward"
+            );
         }
     }
 }
@@ -108,10 +95,8 @@ fn throttle_baseline_is_deterministic_too() {
     if let caps_metrics::Tenancy::Co { throttle, .. } = &mut spec.tenancy {
         *throttle = false;
     }
-    let reference = run_mode(&spec, false, 1);
-    for (ff, threads) in MODES[1..].iter().copied() {
-        let r = run_mode(&spec, ff, threads);
-        assert_eq!(r.stats, reference.stats, "ff={ff} threads={threads}");
-        assert_eq!(r.per_kernel, reference.per_kernel);
-    }
+    let reference = run_mode(&spec, false);
+    let r = run_mode(&spec, true);
+    assert_eq!(r.stats, reference.stats);
+    assert_eq!(r.per_kernel, reference.per_kernel);
 }

@@ -24,7 +24,6 @@
 //! connection. The accept loop can not be killed by anything a client
 //! sends.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -32,14 +31,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use caps_gpu_sim::stats::AdaptReport;
-use caps_metrics::{Farm, FarmJob, FarmStats, PruneSet, ResultCache, RunRecord};
+use caps_metrics::{Farm, FarmJob, FarmStats, PruneSet, ResultCache};
 
 use crate::proto::{LineReader, Request, Response, PROTOCOL_VERSION};
 use crate::signal;
-
-/// How many recent [`AdaptReport`] samples the `stats` reply retains.
-pub const ADAPT_RING: usize = 64;
 
 /// Polling cadence of the accept loop (signal checks, idle wakeups).
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -71,7 +66,6 @@ pub struct Server {
     cache: ResultCache,
     prune: Mutex<PruneSet>,
     total: Mutex<FarmStats>,
-    adapt: Mutex<VecDeque<AdaptReport>>,
     connections: AtomicU64,
     batches: AtomicU64,
     jobs_done: AtomicU64,
@@ -86,7 +80,6 @@ impl Server {
             cache,
             prune: Mutex::new(PruneSet::new()),
             total: Mutex::new(FarmStats::default()),
-            adapt: Mutex::new(VecDeque::new()),
             connections: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
@@ -239,13 +232,11 @@ impl Server {
             }
             Request::Stats => {
                 let farm = *lock(&self.total);
-                let adapt: Vec<AdaptReport> = lock(&self.adapt).iter().copied().collect();
                 write_response(
                     writer,
                     &Response::Stats {
                         farm,
                         cache: self.cache.counters(),
-                        adapt,
                     },
                 )?;
                 Ok(true)
@@ -293,7 +284,6 @@ impl Server {
         // first write error, stop writing, finish simulating.
         let mut write_err: Option<io::Error> = None;
         let (results, stats) = farm.run_pruned_streaming(jobs, &prune, |index, record| {
-            self.note_adapt(record);
             if write_err.is_none() {
                 if let Err(e) = write_response(
                     writer,
@@ -326,19 +316,6 @@ impl Server {
             }
         }
         write_response(writer, &Response::Done { stats })
-    }
-
-    /// Feed the bounded ring of recent adaptive-controller samples
-    /// (only runs where the controller actually evaluated windows).
-    fn note_adapt(&self, record: &RunRecord) {
-        if record.adapt.windows == 0 {
-            return;
-        }
-        let mut ring = lock(&self.adapt);
-        if ring.len() == ADAPT_RING {
-            ring.pop_front();
-        }
-        ring.push_back(record.adapt);
     }
 }
 

@@ -7,8 +7,8 @@
 //! async-signal-safety. Instead the server **blocks** SIGINT and
 //! SIGTERM on all threads (signal masks are inherited), then consumes
 //! pending ones with a zero-timeout `rt_sigtimedwait` once per accept
-//! iteration — the same raw-syscall idiom as
-//! [`caps_gpu_sim::topo::pin_current_thread`]. On non-x86_64-Linux
+//! iteration, through raw `syscall` instructions (the workspace carries
+//! no libc dependency). On non-x86_64-Linux
 //! targets both calls are no-ops and shutdown happens via the
 //! `shutdown` request only.
 
