@@ -31,20 +31,19 @@
 //! `--stats` and per-pass bench entries makes any run's output usable
 //! as such an archive.
 //!
-//! The flag surface and output renderers are shared with `simctl` (the
-//! simulation-service client) via `caps_bench::farmcli`, so `farm --out`
-//! and `simctl --out` are byte-comparable.
+//! Separate processes share results by pointing `--cache-dir` (or
+//! `GPU_SIM_CACHE_DIR`) at the same directory; concurrent passes over
+//! one directory produce byte-identical `--out` files.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use caps_bench::farmcli::{
-    flag_value, parse_jobs, parse_prune, parse_scale, parse_workloads, print_tables, run_axes,
-    stats_json, sweep_summary_json,
-};
 use caps_json::{obj, Value};
-use caps_metrics::{CacheMode, Farm, ResultCache};
-use caps_workloads::{all_workloads, Scale};
+use caps_metrics::{
+    standard_axes, sweep_jobs, sweep_pruned, CacheMode, Engine, Farm, FarmStats, PruneSet,
+    ResultCache, SweepResult, Table,
+};
+use caps_workloads::{all_workloads, Scale, Workload};
 
 fn usage() -> ! {
     eprintln!(
@@ -62,8 +61,155 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value following `flag`, if present. A flag given without a value
+/// is a usage error (exit 2).
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).map(|i| {
+        args.get(i + 1).cloned().unwrap_or_else(|| {
+            eprintln!("{flag} requires a value");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// `--workloads A,B,..` (default: the whole suite).
+fn parse_workloads(args: &[String]) -> Vec<Workload> {
+    match flag_value(args, "--workloads") {
+        Some(list) => caps_bench::parse_workload_list(&list).unwrap_or_else(|e| {
+            eprintln!("{e} (in --workloads)");
+            std::process::exit(2);
+        }),
+        None => all_workloads(),
+    }
+}
+
+/// `--prune-against PATH`: load a results archive (cache directory or
+/// any JSON carrying job keys) whose covered points are skipped.
+fn parse_prune(args: &[String]) -> PruneSet {
+    match flag_value(args, "--prune-against") {
+        Some(path) => {
+            let set = PruneSet::load(std::path::Path::new(&path)).unwrap_or_else(|e| {
+                eprintln!("--prune-against {path}: {e}");
+                std::process::exit(2);
+            });
+            eprintln!("pruning against {path}: {} known job keys", set.len());
+            set
+        }
+        None => PruneSet::new(),
+    }
+}
+
+/// `--jobs N` worker threads (default: `available_parallelism`).
+fn parse_jobs(args: &[String]) -> usize {
+    match flag_value(args, "--jobs") {
+        Some(n) => n.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("--jobs requires a positive integer");
+            std::process::exit(2);
+        }),
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4),
+    }
+}
+
+/// Run all standard axes on `farm`, skipping jobs covered by `prune`.
+/// Returns the sweep summaries, the aggregated batch statistics, and
+/// the submitted job content keys (pruned ones included) so the run's
+/// own output can serve as a future `--prune-against` archive.
+fn run_axes(
+    farm: &Farm,
+    workloads: &[Workload],
+    scale: Scale,
+    prune: &PruneSet,
+) -> (Vec<SweepResult>, FarmStats, Vec<u128>) {
+    let mut total = FarmStats::default();
+    let mut results = Vec::new();
+    let mut job_keys = Vec::new();
+    for (axis, points) in standard_axes() {
+        for job in sweep_jobs(&points, workloads, Engine::Caps, scale) {
+            job_keys.push(job.digest());
+        }
+        let (r, s) = sweep_pruned(farm, &axis, points, workloads, Engine::Caps, scale, prune);
+        total.jobs += s.jobs;
+        total.sims += s.sims;
+        total.mem_hits += s.mem_hits;
+        total.disk_hits += s.disk_hits;
+        total.dedup += s.dedup;
+        total.pruned += s.pruned;
+        results.push(r);
+    }
+    job_keys.sort_unstable();
+    job_keys.dedup();
+    (results, total, job_keys)
+}
+
+/// Render each axis as an ASCII speedup table on stdout.
+fn print_tables(results: &[SweepResult]) {
+    for r in results {
+        let mut t = Table::new(&["point", "CAPS speedup"]);
+        for (label, s) in r.labels.iter().zip(&r.speedup) {
+            t.row(vec![label.clone(), format!("{s:.3}")]);
+        }
+        println!("{}\n{}", r.axis, t.render());
+    }
+}
+
+/// Stable JSON for the sweep summaries — byte-comparable across passes
+/// and processes (floats are shortest-roundtrip).
+fn sweep_summary_json(results: &[SweepResult]) -> String {
+    let axes: Vec<Value> = results
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("axis", Value::Str(r.axis.clone())),
+                (
+                    "labels",
+                    Value::Arr(r.labels.iter().map(|l| Value::Str(l.clone())).collect()),
+                ),
+                (
+                    "speedup",
+                    Value::Arr(r.speedup.iter().map(|&s| Value::Float(s)).collect()),
+                ),
+            ])
+        })
+        .collect();
+    Value::Arr(axes).pretty()
+}
+
+/// Farm/cache counter report, including the batch's `job_keys` so the
+/// file doubles as a `--prune-against` archive.
+fn stats_json(stats: &FarmStats, cache: &ResultCache, seconds: f64, job_keys: &[u128]) -> Value {
+    let c = cache.counters();
+    obj(vec![
+        ("jobs", Value::UInt(stats.jobs)),
+        ("sims", Value::UInt(stats.sims)),
+        ("mem_hits", Value::UInt(stats.mem_hits)),
+        ("disk_hits", Value::UInt(stats.disk_hits)),
+        ("hits", Value::UInt(stats.hits())),
+        ("dedup", Value::UInt(stats.dedup)),
+        ("pruned", Value::UInt(stats.pruned)),
+        ("hit_rate", Value::Float(stats.hit_rate())),
+        ("seconds", Value::Float(seconds)),
+        ("cache_stores", Value::UInt(c.stores)),
+        ("cache_store_errors", Value::UInt(c.store_errors)),
+        ("cache_misses", Value::UInt(c.misses)),
+        // The batch's content keys: feed this file (or any JSON
+        // containing it) back via --prune-against to skip every job it
+        // covers.
+        (
+            "job_keys",
+            Value::Arr(
+                job_keys
+                    .iter()
+                    .map(|k| Value::Str(format!("{k:032x}")))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
 fn bench(args: &[String]) {
-    let scale = parse_scale(args);
+    let scale = caps_bench::scale_from_args();
     let workloads = parse_workloads(args);
     let jobs = parse_jobs(args);
     let out = flag_value(args, "--out").unwrap_or_else(|| "BENCH_farm.json".to_string());
@@ -159,7 +305,7 @@ fn main() {
         bench(&args);
         return;
     }
-    let scale = parse_scale(&args);
+    let scale = caps_bench::scale_from_args();
     let workloads = parse_workloads(&args);
     let jobs = parse_jobs(&args);
     let mode = match flag_value(&args, "--cache").as_deref() {
@@ -174,7 +320,7 @@ fn main() {
     let dir = flag_value(&args, "--cache-dir")
         .map(PathBuf::from)
         .unwrap_or_else(caps_metrics::cache::default_cache_dir);
-    let cache = ResultCache::new(mode, dir).with_max_bytes(caps_metrics::cache::default_cache_max_bytes());
+    let cache = ResultCache::new(mode, dir);
     let farm = Farm::new(&cache, jobs);
     let prune = parse_prune(&args);
 

@@ -408,6 +408,10 @@ fn main() {
             .unwrap_or_else(|| usage());
         spec.base_config.max_ctas_per_sm = n;
     }
+    if let Err(e) = spec.base_config.validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
     let r = run_one(&spec);
     let s = &r.stats;
     println!("{} under {}\n", r.workload, r.engine);

@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod farmcli;
 pub mod fig01;
 pub mod fig04;
 pub mod fig05;

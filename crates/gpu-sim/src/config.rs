@@ -269,40 +269,123 @@ impl GpuConfig {
         partition % self.num_dram_channels
     }
 
-    /// Validates internal consistency; panics with a clear message when a
-    /// hand-edited configuration is impossible.
-    pub fn validate(&self) {
-        assert!(self.num_sms > 0, "need at least one SM");
-        assert!(
-            self.simt_width.is_power_of_two(),
-            "SIMT width must be a power of two"
-        );
-        assert!(
-            self.max_warps_per_sm >= self.max_ctas_per_sm,
-            "cannot host more CTAs than warps"
-        );
-        assert!(
-            self.l1d.line_size == self.l2.line_size,
-            "L1/L2 line sizes must match"
-        );
-        assert!(
-            self.l1d.sets().is_power_of_two(),
-            "L1 set count must be a power of two"
-        );
-        assert!(
-            self.l2.sets().is_power_of_two(),
-            "L2 set count must be a power of two"
-        );
-        assert!(
-            self.num_partitions >= self.num_dram_channels,
-            "partitions map onto channels"
-        );
-        assert!(
-            self.ready_queue_size > 0,
-            "two-level ready queue cannot be empty"
-        );
+    /// Checks internal consistency, naming the first impossible setting
+    /// of a hand-edited configuration.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.num_sms == 0 {
+            return Err(ConfigError::NoSms);
+        }
+        if !self.simt_width.is_power_of_two() {
+            return Err(ConfigError::SimtWidthNotPowerOfTwo(self.simt_width));
+        }
+        if self.max_ctas_per_sm == 0 {
+            return Err(ConfigError::NoCtaSlots);
+        }
+        if self.max_ctas_per_sm > self.max_warps_per_sm {
+            return Err(ConfigError::MoreCtasThanWarps {
+                ctas: self.max_ctas_per_sm,
+                warps: self.max_warps_per_sm,
+            });
+        }
+        if self.l1d.line_size != self.l2.line_size {
+            return Err(ConfigError::LineSizeMismatch {
+                l1: self.l1d.line_size,
+                l2: self.l2.line_size,
+            });
+        }
+        if !self.l1d.sets().is_power_of_two() {
+            return Err(ConfigError::L1SetsNotPowerOfTwo(self.l1d.sets()));
+        }
+        if !self.l2.sets().is_power_of_two() {
+            return Err(ConfigError::L2SetsNotPowerOfTwo(self.l2.sets()));
+        }
+        if self.num_partitions < self.num_dram_channels {
+            return Err(ConfigError::FewerPartitionsThanChannels {
+                partitions: self.num_partitions,
+                channels: self.num_dram_channels,
+            });
+        }
+        if self.ready_queue_size == 0 {
+            return Err(ConfigError::EmptyReadyQueue);
+        }
+        Ok(())
     }
 }
+
+/// Why [`GpuConfig::validate`] rejected a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `num_sms` is zero.
+    NoSms,
+    /// `simt_width` is not a power of two.
+    SimtWidthNotPowerOfTwo(u32),
+    /// `max_ctas_per_sm` is zero, so no CTA could ever launch.
+    NoCtaSlots,
+    /// `max_ctas_per_sm` exceeds `max_warps_per_sm`.
+    MoreCtasThanWarps {
+        /// Configured CTA slots per SM.
+        ctas: usize,
+        /// Configured warp slots per SM.
+        warps: usize,
+    },
+    /// L1D and L2 line sizes differ.
+    LineSizeMismatch {
+        /// L1D line size in bytes.
+        l1: u32,
+        /// L2 line size in bytes.
+        l2: u32,
+    },
+    /// The L1D set count is not a power of two.
+    L1SetsNotPowerOfTwo(u32),
+    /// The L2 set count is not a power of two.
+    L2SetsNotPowerOfTwo(u32),
+    /// Fewer L2 partitions than DRAM channels.
+    FewerPartitionsThanChannels {
+        /// Configured L2 partitions.
+        partitions: usize,
+        /// Configured DRAM channels.
+        channels: usize,
+    },
+    /// `ready_queue_size` is zero.
+    EmptyReadyQueue,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::NoSms => write!(f, "need at least one SM"),
+            ConfigError::SimtWidthNotPowerOfTwo(w) => {
+                write!(f, "SIMT width {w} must be a power of two")
+            }
+            ConfigError::NoCtaSlots => write!(f, "need at least one CTA slot per SM"),
+            ConfigError::MoreCtasThanWarps { ctas, warps } => {
+                write!(
+                    f,
+                    "cannot host more CTAs than warps ({ctas} CTAs, {warps} warps per SM)"
+                )
+            }
+            ConfigError::LineSizeMismatch { l1, l2 } => {
+                write!(f, "L1/L2 line sizes must match (L1 {l1} B, L2 {l2} B)")
+            }
+            ConfigError::L1SetsNotPowerOfTwo(n) => {
+                write!(f, "L1 set count {n} must be a power of two")
+            }
+            ConfigError::L2SetsNotPowerOfTwo(n) => {
+                write!(f, "L2 set count {n} must be a power of two")
+            }
+            ConfigError::FewerPartitionsThanChannels {
+                partitions,
+                channels,
+            } => write!(
+                f,
+                "partitions map onto channels ({partitions} partitions < {channels} channels)"
+            ),
+            ConfigError::EmptyReadyQueue => write!(f, "two-level ready queue cannot be empty"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for GpuConfig {
     fn default() -> Self {
@@ -398,7 +481,7 @@ mod tests {
     #[test]
     fn table_iii_geometry() {
         let c = GpuConfig::fermi_gtx480();
-        c.validate();
+        assert!(c.validate().is_ok());
         assert_eq!(c.num_sms, 15);
         assert_eq!(c.simt_width, 32);
         assert_eq!(c.max_warps_per_sm, 48);
@@ -465,11 +548,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot host more CTAs than warps")]
     fn validate_rejects_impossible_cta_count() {
         let mut c = GpuConfig::fermi_gtx480();
         c.max_ctas_per_sm = 100;
-        c.validate();
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::MoreCtasThanWarps {
+                ctas: 100,
+                warps: 48
+            })
+        );
+        c.max_ctas_per_sm = 0;
+        assert_eq!(c.validate(), Err(ConfigError::NoCtaSlots));
     }
 
     #[test]
@@ -496,7 +586,7 @@ mod tests {
     #[test]
     fn kepler_extrapolation_scales_residency_only() {
         let k = GpuConfig::kepler_like();
-        k.validate();
+        assert!(k.validate().is_ok());
         assert_eq!(k.max_warps_per_sm, 64);
         assert_eq!(k.max_ctas_per_sm, 16);
         assert_eq!(

@@ -157,7 +157,7 @@ impl Gpu {
     /// Build a GPU running `kernel` with per-SM prefetchers from
     /// `prefetcher_factory`.
     pub fn new(cfg: GpuConfig, kernel: Kernel, prefetcher_factory: &PrefetcherFactory) -> Self {
-        cfg.validate();
+        cfg.validate().expect("invalid GPU config");
         kernel.validate().expect("invalid kernel");
         let sms = (0..cfg.num_sms)
             .map(|id| {

@@ -128,13 +128,11 @@ impl Value {
         out
     }
 
-    /// Encode on a single line with no whitespace — the framing format
-    /// of the simulation service's newline-delimited protocol. The
-    /// output never contains a raw newline (strings escape control
-    /// characters), so `compact() + "\n"` is a valid frame, and the
-    /// encoding is canonical: parse ∘ compact is the identity on the
-    /// document model, and compact ∘ parse is the identity on compact
-    /// output.
+    /// Encode on a single line with no whitespace, for newline-delimited
+    /// JSON output. The output never contains a raw newline (strings
+    /// escape control characters), and the encoding is canonical:
+    /// parse ∘ compact is the identity on the document model, and
+    /// compact ∘ parse is the identity on compact output.
     pub fn compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);

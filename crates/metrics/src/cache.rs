@@ -24,15 +24,13 @@
 //!
 //! * `GPU_SIM_CACHE` — `rw` (default: read and write), `ro` (read-only),
 //!   `off` (bypass entirely);
-//! * `GPU_SIM_CACHE_DIR` — cache directory (default `.sim-cache`);
-//! * `GPU_SIM_CACHE_MAX_MB` — size cap in MiB; when the on-disk entries
-//!   exceed it, the oldest-by-mtime entries are garbage-collected down
-//!   to 7/8 of the cap (unset, `0`, or unparsable: unbounded).
+//! * `GPU_SIM_CACHE_DIR` — cache directory (default `.sim-cache`).
 //!
-//! Eviction is safe against concurrent readers by construction: an
-//! entry file is only ever complete (atomic rename) or absent
-//! (unlinked), and a reader that loses the race observes a clean miss —
-//! never a torn record.
+//! Processes share results by pointing at the same directory: an entry
+//! file is only ever complete (atomic rename) or absent, so a reader
+//! racing a writer sees a whole record or a clean miss — never a torn
+//! one. The cache is unbounded; entries from older builds never hit
+//! again and are reclaimed by deleting the directory.
 //!
 //! The execution-mode field of [`RunOpts`] (`fast_forward`) is
 //! deliberately **excluded** from the key: it is host-execution-only
@@ -90,21 +88,6 @@ pub fn default_cache_dir() -> PathBuf {
     match std::env::var_os("GPU_SIM_CACHE_DIR") {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
         _ => PathBuf::from(".sim-cache"),
-    }
-}
-
-/// Disk budget from `GPU_SIM_CACHE_MAX_MB` (MiB). Unset, `0`, or
-/// unparsable values mean unbounded.
-pub fn default_cache_max_bytes() -> Option<u64> {
-    let mb = std::env::var("GPU_SIM_CACHE_MAX_MB")
-        .ok()?
-        .trim()
-        .parse::<u64>()
-        .ok()?;
-    if mb == 0 {
-        None
-    } else {
-        Some(mb.saturating_mul(1024 * 1024))
     }
 }
 
@@ -180,17 +163,19 @@ pub fn job_digest(spec: &RunSpec, opts: &RunOpts) -> u128 {
 pub struct ResultCache {
     mode: CacheMode,
     dir: PathBuf,
-    max_bytes: Option<u64>,
     index: Mutex<HashMap<u128, RunRecord>>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
     store_errors: AtomicU64,
-    tmp_seq: AtomicU64,
 }
 
 static GLOBAL: OnceLock<ResultCache> = OnceLock::new();
+
+/// Sequence for tmp-file names, process-wide: two `ResultCache`s over
+/// one directory in the same process must never write the same tmp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ResultCache {
     /// A cache over `dir` with explicit behaviour.
@@ -198,34 +183,19 @@ impl ResultCache {
         ResultCache {
             mode,
             dir: dir.into(),
-            max_bytes: None,
             index: Mutex::new(HashMap::new()),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             store_errors: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
         }
     }
 
     /// Cache configured from the environment (`GPU_SIM_CACHE`,
-    /// `GPU_SIM_CACHE_DIR`, `GPU_SIM_CACHE_MAX_MB`).
+    /// `GPU_SIM_CACHE_DIR`).
     pub fn from_env() -> Self {
         Self::new(CacheMode::from_env(), default_cache_dir())
-            .with_max_bytes(default_cache_max_bytes())
-    }
-
-    /// Set (or clear) the on-disk size budget in bytes. Exceeding it
-    /// triggers LRU-by-mtime eviction (see [`ResultCache::gc`]).
-    pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Self {
-        self.max_bytes = max_bytes;
-        self
-    }
-
-    /// The configured disk budget, if any.
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
     }
 
     /// The process-wide shared cache used by [`run_matrix`] and
@@ -326,11 +296,12 @@ impl ResultCache {
         ]);
         let final_path = self.entry_path(key);
         // Unique tmp name per (process, store): concurrent writers of
-        // the same key each rename a complete file into place.
+        // the same key, in this process or another, each rename a
+        // complete file into place.
         let tmp = self.dir.join(format!(
             ".tmp-{key:032x}-{}-{}",
             std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         let write = || -> std::io::Result<()> {
             std::fs::create_dir_all(&self.dir)?;
@@ -339,12 +310,7 @@ impl ResultCache {
         };
         match write() {
             Ok(()) => {
-                let stores = self.stores.fetch_add(1, Ordering::Relaxed) + 1;
-                // Amortize the directory scan: only every few stores,
-                // and only when a budget is configured.
-                if self.max_bytes.is_some() && stores.is_multiple_of(GC_STORE_PERIOD) {
-                    self.gc();
-                }
+                self.stores.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
                 let _ = std::fs::remove_file(&tmp);
@@ -352,73 +318,6 @@ impl ResultCache {
             }
         }
     }
-
-    /// Enforce the disk budget: if the `<key>.json` entries exceed
-    /// `max_bytes`, unlink the oldest (by mtime, ties broken by name so
-    /// the order is total) until the survivors fit in 7/8 of the cap —
-    /// the slack keeps back-to-back stores from re-triggering a scan.
-    ///
-    /// Returns the number of entries evicted. A no-op without a budget.
-    ///
-    /// Safe against concurrent readers and writers: entries are only
-    /// ever whole files (atomic rename), so an evicted entry reads as a
-    /// clean miss, and a concurrently re-written entry survives as the
-    /// new complete file. The in-memory index is deliberately left
-    /// intact — records already promoted stay served from memory.
-    pub fn gc(&self) -> usize {
-        let Some(cap) = self.max_bytes else {
-            return 0;
-        };
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        // (mtime, name, path, len) for every complete entry file.
-        let mut entries: Vec<(std::time::SystemTime, std::ffi::OsString, PathBuf, u64)> =
-            Vec::new();
-        let mut total: u64 = 0;
-        for ent in dir.flatten() {
-            let name = ent.file_name();
-            if !is_entry_file_name(&name) {
-                continue;
-            }
-            let Ok(meta) = ent.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            total += meta.len();
-            entries.push((mtime, name, ent.path(), meta.len()));
-        }
-        if total <= cap {
-            return 0;
-        }
-        let target = cap / 8 * 7;
-        entries.sort();
-        let mut evicted = 0;
-        for (_, _, path, len) in &entries {
-            if total <= target {
-                break;
-            }
-            // A failed unlink (already evicted by a racing GC) still
-            // means those bytes are gone.
-            let _ = std::fs::remove_file(path);
-            total = total.saturating_sub(*len);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
-/// How many successful stores between budget checks.
-const GC_STORE_PERIOD: u64 = 32;
-
-/// `<32-hex>.json`, the shape of a cache entry file. Anything else in
-/// the directory (tmp files mid-rename, stray artifacts) is not GC'd.
-fn is_entry_file_name(name: &std::ffi::OsStr) -> bool {
-    let Some(name) = name.to_str() else {
-        return false;
-    };
-    let Some(stem) = name.strip_suffix(".json") else {
-        return false;
-    };
-    stem.len() == 32 && stem.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 #[cfg(test)]
@@ -502,104 +401,34 @@ mod tests {
         }
     }
 
+    /// Processes share results through one directory: writers that keep
+    /// overwriting the same entries (atomic rename over the old file)
+    /// never fail each other's stores and never surface a torn record to
+    /// readers on other `ResultCache` instances — every lookup is a
+    /// bit-identical record or a miss.
     #[test]
-    fn entry_file_name_filter() {
-        use std::ffi::OsStr;
-        assert!(is_entry_file_name(OsStr::new(&format!(
-            "{:032x}.json",
-            7u128
-        ))));
-        assert!(!is_entry_file_name(OsStr::new("README.json")));
-        assert!(!is_entry_file_name(OsStr::new(&format!(
-            ".tmp-{:032x}-1-2",
-            7u128
-        ))));
-        assert!(!is_entry_file_name(OsStr::new(&format!("{:031x}.json", 7u128))));
-        assert!(!is_entry_file_name(OsStr::new(&format!("{:032x}.txt", 7u128))));
-    }
-
-    #[test]
-    fn gc_evicts_oldest_until_under_cap() {
-        let dir = std::env::temp_dir().join(format!("caps-cache-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let rec = crate::harness::run_one(&spec());
-        let unbounded = ResultCache::new(CacheMode::ReadWrite, &dir);
-        let entry_size = {
-            unbounded.insert(1, &rec);
-            std::fs::metadata(unbounded.entry_path(1)).unwrap().len()
-        };
-        // Budget for ~3 entries; write 8 in mtime order with explicit
-        // spacing so "oldest" is well-defined even on coarse clocks.
-        let cache = ResultCache::new(CacheMode::ReadWrite, &dir)
-            .with_max_bytes(Some(entry_size * 7 / 2));
-        for key in 1..=8u128 {
-            cache.insert(key, &rec);
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let evicted = cache.gc();
-        assert!(evicted >= 5, "evicted {evicted} of 8");
-        // Survivors fit the budget and are the most recent keys.
-        let survivors: Vec<u128> = (1..=8u128)
-            .filter(|k| cache.entry_path(*k).exists())
-            .collect();
-        let total: u64 = survivors
-            .iter()
-            .map(|k| std::fs::metadata(cache.entry_path(*k)).unwrap().len())
-            .sum();
-        assert!(total <= entry_size * 7 / 2);
-        assert!(!survivors.is_empty(), "GC must not evict everything");
-        assert!(
-            survivors.contains(&8),
-            "newest entry must survive, got {survivors:?}"
-        );
-        assert!(
-            !cache.entry_path(1).exists(),
-            "oldest entry must be evicted"
-        );
-        // Under budget: a second pass is a no-op.
-        assert_eq!(cache.gc(), 0);
-        // Evicted entries read as clean misses; survivors still load.
-        cache.drop_index();
-        assert!(cache.lookup(1).is_none());
-        let reloaded = cache.lookup(8).expect("survivor loads");
-        assert_eq!(
-            crate::export::record_to_value(&reloaded).pretty(),
-            crate::export::record_to_value(&rec).pretty()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The satellite guarantee: aggressive eviction racing concurrent
-    /// readers and writers never surfaces a torn record — every lookup
-    /// is either a bit-identical record or a clean miss.
-    #[test]
-    fn eviction_never_corrupts_concurrent_readers() {
-        let dir = std::env::temp_dir().join(format!(
-            "caps-cache-race-{}",
-            std::process::id()
-        ));
+    fn overwrites_never_corrupt_concurrent_readers() {
+        let dir = std::env::temp_dir().join(format!("caps-cache-race-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let rec = crate::harness::run_one(&spec());
         let expected = crate::export::record_to_value(&rec).pretty();
         const KEYS: u128 = 6;
 
-        let writer_dir = dir.clone();
-        let writer_rec = rec.clone();
-        let writer = std::thread::spawn(move || {
-            // A budget of ~2 entries over 6 live keys: every GC pass
-            // evicts files readers are chasing.
-            let probe = ResultCache::new(CacheMode::ReadWrite, &writer_dir);
-            probe.insert(0, &writer_rec);
-            let entry_size = std::fs::metadata(probe.entry_path(0)).unwrap().len();
-            let cache = ResultCache::new(CacheMode::ReadWrite, &writer_dir)
-                .with_max_bytes(Some(entry_size * 5 / 2));
-            for round in 0..30 {
-                for key in 0..KEYS {
-                    cache.insert(key + KEYS * (round % 2), &writer_rec);
-                    cache.gc();
-                }
-            }
-        });
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let writer_dir = dir.clone();
+                let writer_rec = rec.clone();
+                std::thread::spawn(move || {
+                    let cache = ResultCache::new(CacheMode::ReadWrite, &writer_dir);
+                    for _ in 0..200 {
+                        for key in 0..KEYS {
+                            cache.insert(key, &writer_rec);
+                        }
+                    }
+                    cache.counters()
+                })
+            })
+            .collect();
 
         let mut readers = Vec::new();
         for _ in 0..2 {
@@ -607,34 +436,29 @@ mod tests {
             let expected = expected.clone();
             readers.push(std::thread::spawn(move || {
                 let cache = ResultCache::new(CacheMode::ReadWrite, &reader_dir);
-                let (mut hits, mut misses) = (0u64, 0u64);
+                let mut hits = 0u64;
                 for _ in 0..200 {
-                    for key in 0..2 * KEYS {
+                    for key in 0..KEYS {
                         // Force the disk path every time.
                         cache.drop_index();
-                        match cache.lookup(key) {
-                            Some(got) => {
-                                assert_eq!(
-                                    crate::export::record_to_value(&got).pretty(),
-                                    expected,
-                                    "reader observed a corrupt record"
-                                );
-                                hits += 1;
-                            }
-                            None => misses += 1,
+                        if let Some(got) = cache.lookup(key) {
+                            assert_eq!(
+                                crate::export::record_to_value(&got).pretty(),
+                                expected,
+                                "reader observed a corrupt record"
+                            );
+                            hits += 1;
                         }
                     }
                 }
-                (hits, misses)
+                hits
             }));
         }
 
-        writer.join().unwrap();
-        let mut total_hits = 0;
-        for r in readers {
-            let (hits, _) = r.join().unwrap();
-            total_hits += hits;
+        for w in writers {
+            assert_eq!(w.join().unwrap().store_errors, 0, "a writer's store failed");
         }
+        let total_hits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         assert!(total_hits > 0, "the race must actually exercise reads");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -111,48 +111,6 @@ impl Engine {
         cfg
     }
 
-    /// Lossless wire name for the service protocol. Unlike
-    /// [`Engine::label`] (a figure legend that collapses
-    /// `InterAtDistance(d)` into `"INTER"`), every variant encodes
-    /// distinctly: the parametric probe serializes as `INTER@<d>`.
-    /// [`Engine::from_wire`] inverts it exactly.
-    pub fn wire_name(self) -> String {
-        match self {
-            Engine::InterAtDistance(d) => format!("INTER@{d}"),
-            other => other.label().to_string(),
-        }
-    }
-
-    /// Parse a [`Engine::wire_name`] string. The error message lists the
-    /// accepted names so a hand-written request learns the vocabulary.
-    pub fn from_wire(s: &str) -> Result<Engine, String> {
-        match s {
-            "BASE" => Ok(Engine::Baseline),
-            "INTRA" => Ok(Engine::Intra),
-            "INTER" => Ok(Engine::Inter),
-            "MTA" => Ok(Engine::Mta),
-            "NLP" => Ok(Engine::Nlp),
-            "LAP" => Ok(Engine::Lap),
-            "ORCH" => Ok(Engine::Orch),
-            "CAPS" => Ok(Engine::Caps),
-            "CAPS-NW" => Ok(Engine::CapsNoWakeup),
-            "CAPS@LRR" => Ok(Engine::CapsOnLrr),
-            "CAPS@TLV" => Ok(Engine::CapsOnTlv),
-            "CAPS@GTO" => Ok(Engine::CapsOnPasGto),
-            other => {
-                if let Some(d) = other.strip_prefix("INTER@") {
-                    if let Ok(d) = d.parse::<u32>() {
-                        return Ok(Engine::InterAtDistance(d));
-                    }
-                }
-                Err(format!(
-                    "unknown engine {other:?} (valid: BASE INTRA INTER INTER@<d> MTA NLP LAP \
-                     ORCH CAPS CAPS-NW CAPS@LRR CAPS@TLV CAPS@GTO)"
-                ))
-            }
-        }
-    }
-
     /// Whether this engine carries CAP tables (for energy accounting).
     pub fn uses_cap_tables(self) -> bool {
         matches!(
@@ -235,37 +193,6 @@ mod tests {
             let f = e.factory();
             let _ = f(0);
         }
-    }
-
-    #[test]
-    fn wire_names_round_trip_every_variant() {
-        let all = [
-            Engine::Baseline,
-            Engine::Intra,
-            Engine::Inter,
-            Engine::InterAtDistance(0),
-            Engine::InterAtDistance(7),
-            Engine::Mta,
-            Engine::Nlp,
-            Engine::Lap,
-            Engine::Orch,
-            Engine::Caps,
-            Engine::CapsNoWakeup,
-            Engine::CapsOnLrr,
-            Engine::CapsOnTlv,
-            Engine::CapsOnPasGto,
-        ];
-        for e in all {
-            assert_eq!(Engine::from_wire(&e.wire_name()), Ok(e), "{}", e.wire_name());
-        }
-        // The parametric variant does not alias the plain one.
-        assert_ne!(
-            Engine::InterAtDistance(4).wire_name(),
-            Engine::Inter.wire_name()
-        );
-        let err = Engine::from_wire("CPAS").unwrap_err();
-        assert!(err.contains("CPAS") && err.contains("CAPS@GTO"), "{err}");
-        assert!(Engine::from_wire("INTER@x").is_err());
     }
 
     #[test]

@@ -197,8 +197,8 @@ fn kernel_stats_from_value(v: &Value) -> Result<KernelStats, Error> {
     Ok(k)
 }
 
-/// Serialize one record (shared with the result cache's entry files and
-/// the simulation service's streamed `record` replies).
+/// Serialize one record (also the format of the result cache's entry
+/// files).
 pub fn record_to_value(r: &RunRecord) -> Value {
     obj(vec![
         ("workload", Value::Str(r.workload.clone())),
@@ -213,8 +213,7 @@ pub fn record_to_value(r: &RunRecord) -> Value {
     ])
 }
 
-/// Parse one record (shared with the result cache's entry files and the
-/// simulation service's streamed `record` replies).
+/// Parse one record (also reads the result cache's entry files).
 pub fn record_from_value(v: &Value) -> Result<RunRecord, Error> {
     Ok(RunRecord {
         workload: v.require("workload")?.as_str()?.to_string(),
@@ -236,284 +235,6 @@ pub fn record_from_value(v: &Value) -> Result<RunRecord, Error> {
                 .collect::<Result<_, _>>()?,
             None => Vec::new(),
         },
-    })
-}
-
-// --- job (spec + opts) wire serialization ----------------------------
-//
-// The simulation service ships whole jobs over its socket, so the full
-// run identity — workload, engine, scale, complete `GpuConfig`,
-// tenancy, and the host-execution `RunOpts` — round-trips through JSON
-// here. The shapes mirror the digest impls field for field: anything
-// that perturbs a job's content key must survive the wire, or a
-// submitted job would silently alias a different cache entry.
-
-use caps_gpu_sim::config::{CacheConfig, DramTiming, GpuConfig, SchedulerKind};
-use caps_workloads::{Scale, Workload};
-
-use crate::engine::Engine;
-use crate::harness::{RunOpts, RunSpec, Tenancy};
-
-/// Parse a workload abbreviation (exact match against the suite).
-pub fn workload_from_abbr(abbr: &str) -> Result<Workload, Error> {
-    caps_workloads::all_workloads()
-        .into_iter()
-        .find(|w| w.abbr() == abbr)
-        .ok_or_else(|| Error::schema(format!("unknown workload {abbr:?}")))
-}
-
-fn scheduler_to_value(k: SchedulerKind) -> Value {
-    Value::Str(k.name().to_string())
-}
-
-fn scheduler_from_value(v: &Value) -> Result<SchedulerKind, Error> {
-    let name = v.as_str()?;
-    [
-        SchedulerKind::Lrr,
-        SchedulerKind::Gto,
-        SchedulerKind::PasGto,
-        SchedulerKind::TwoLevel,
-        SchedulerKind::Pas,
-        SchedulerKind::PasNoWakeup,
-        SchedulerKind::OrchGrouped,
-    ]
-    .into_iter()
-    .find(|k| k.name() == name)
-    .ok_or_else(|| Error::schema(format!("unknown scheduler {name:?}")))
-}
-
-/// Apply a macro to every `CacheConfig` field (all `u32`).
-macro_rules! for_each_cache_config_field {
-    ($m:ident) => {
-        $m!(size_bytes, line_size, assoc, mshr_entries, mshr_merge, hit_latency)
-    };
-}
-
-fn cache_config_to_value(c: &CacheConfig) -> Value {
-    macro_rules! emit {
-        ($($f:ident),*) => {
-            obj(vec![$((stringify!($f), Value::UInt(c.$f as u64)),)*])
-        };
-    }
-    for_each_cache_config_field!(emit)
-}
-
-fn cache_config_from_value(v: &Value) -> Result<CacheConfig, Error> {
-    let mut c = GpuConfig::fermi_gtx480().l1d;
-    macro_rules! read {
-        ($($f:ident),*) => {
-            $(c.$f = v.require(stringify!($f))?.as_u64()? as u32;)*
-        };
-    }
-    for_each_cache_config_field!(read);
-    Ok(c)
-}
-
-/// Apply a macro to every `DramTiming` field (all `u32`).
-macro_rules! for_each_dram_timing_field {
-    ($m:ident) => {
-        $m!(t_cl, t_rp, t_rc, t_ras, t_rcd, t_rrd, t_cdlr, t_wr, t_burst)
-    };
-}
-
-fn dram_timing_to_value(t: &DramTiming) -> Value {
-    macro_rules! emit {
-        ($($f:ident),*) => {
-            obj(vec![$((stringify!($f), Value::UInt(t.$f as u64)),)*])
-        };
-    }
-    for_each_dram_timing_field!(emit)
-}
-
-fn dram_timing_from_value(v: &Value) -> Result<DramTiming, Error> {
-    let mut t = DramTiming::gddr5();
-    macro_rules! read {
-        ($($f:ident),*) => {
-            $(t.$f = v.require(stringify!($f))?.as_u64()? as u32;)*
-        };
-    }
-    for_each_dram_timing_field!(read);
-    Ok(t)
-}
-
-/// Apply a macro to every scalar `GpuConfig` field, tagged with its
-/// type (`usize` or `u32`); the nested `scheduler`/`l1d`/`l2`/
-/// `dram_timing` structures are handled explicitly.
-macro_rules! for_each_gpu_config_scalar {
-    ($m:ident) => {
-        $m!(
-            (num_sms, usize),
-            (simt_width, u32),
-            (max_warps_per_sm, usize),
-            (max_ctas_per_sm, usize),
-            (ready_queue_size, usize),
-            (num_partitions, usize),
-            (num_dram_channels, usize),
-            (dram_banks, usize),
-            (dram_queue_entries, usize),
-            (core_clock_mhz, u32),
-            (dram_clock_mhz, u32),
-            (icnt_latency, u32),
-            (icnt_bandwidth, u32),
-            (icnt_queue_depth, usize),
-            (issue_width, u32),
-            (ldst_queue_depth, usize),
-            (prefetch_queue_depth, usize),
-            (prefetch_issue_per_cycle, u32),
-            (prefetch_max_age, u32)
-        )
-    };
-}
-
-/// Serialize a full GPU configuration.
-pub fn config_to_value(c: &GpuConfig) -> Value {
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    macro_rules! emit {
-        ($(($f:ident, $t:ident)),*) => {
-            $(fields.push((stringify!($f).to_string(), Value::UInt(c.$f as u64)));)*
-        };
-    }
-    for_each_gpu_config_scalar!(emit);
-    fields.push(("scheduler".to_string(), scheduler_to_value(c.scheduler)));
-    fields.push(("l1d".to_string(), cache_config_to_value(&c.l1d)));
-    fields.push(("l2".to_string(), cache_config_to_value(&c.l2)));
-    fields.push((
-        "dram_timing".to_string(),
-        dram_timing_to_value(&c.dram_timing),
-    ));
-    Value::Obj(fields)
-}
-
-/// Parse a full GPU configuration (no validation — callers that accept
-/// untrusted input should [`GpuConfig::validate`] behind
-/// `catch_unwind`).
-pub fn config_from_value(v: &Value) -> Result<GpuConfig, Error> {
-    let mut c = GpuConfig::fermi_gtx480();
-    macro_rules! read {
-        ($(($f:ident, $t:ident)),*) => {
-            $(c.$f = v.require(stringify!($f))?.as_u64()? as $t;)*
-        };
-    }
-    for_each_gpu_config_scalar!(read);
-    c.scheduler = scheduler_from_value(v.require("scheduler")?)?;
-    c.l1d = cache_config_from_value(v.require("l1d")?)?;
-    c.l2 = cache_config_from_value(v.require("l2")?)?;
-    c.dram_timing = dram_timing_from_value(v.require("dram_timing")?)?;
-    Ok(c)
-}
-
-/// Serialize one run spec (workload, engine, scale, config, tenancy).
-pub fn spec_to_value(s: &RunSpec) -> Value {
-    let tenancy = match &s.tenancy {
-        Tenancy::Solo => obj(vec![("kind", Value::Str("solo".to_string()))]),
-        Tenancy::Co {
-            partners,
-            policy,
-            throttle,
-        } => obj(vec![
-            ("kind", Value::Str("co".to_string())),
-            (
-                "partners",
-                Value::Arr(
-                    partners
-                        .iter()
-                        .map(|p| Value::Str(p.abbr().to_string()))
-                        .collect(),
-                ),
-            ),
-            ("policy", Value::Str(policy.name().to_string())),
-            ("throttle", Value::Bool(*throttle)),
-        ]),
-    };
-    obj(vec![
-        ("workload", Value::Str(s.workload.abbr().to_string())),
-        ("engine", Value::Str(s.engine.wire_name())),
-        (
-            "scale",
-            Value::Str(
-                match s.scale {
-                    Scale::Full => "full",
-                    Scale::Small => "small",
-                }
-                .to_string(),
-            ),
-        ),
-        ("config", config_to_value(&s.base_config)),
-        ("tenancy", tenancy),
-    ])
-}
-
-/// Parse one run spec.
-pub fn spec_from_value(v: &Value) -> Result<RunSpec, Error> {
-    let workload = workload_from_abbr(v.require("workload")?.as_str()?)?;
-    let engine = Engine::from_wire(v.require("engine")?.as_str()?).map_err(Error::schema)?;
-    let scale = match v.require("scale")?.as_str()? {
-        "full" => Scale::Full,
-        "small" => Scale::Small,
-        other => return Err(Error::schema(format!("unknown scale {other:?}"))),
-    };
-    let base_config = config_from_value(v.require("config")?)?;
-    let tv = v.require("tenancy")?;
-    let tenancy = match tv.require("kind")?.as_str()? {
-        "solo" => Tenancy::Solo,
-        "co" => Tenancy::Co {
-            partners: tv
-                .require("partners")?
-                .as_arr()?
-                .iter()
-                .map(|p| workload_from_abbr(p.as_str()?))
-                .collect::<Result<_, _>>()?,
-            policy: tv
-                .require("policy")?
-                .as_str()?
-                .parse()
-                .map_err(Error::schema)?,
-            throttle: match tv.require("throttle")? {
-                Value::Bool(b) => *b,
-                other => {
-                    return Err(Error::schema(format!("expected bool throttle, got {other:?}")))
-                }
-            },
-        },
-        other => return Err(Error::schema(format!("unknown tenancy kind {other:?}"))),
-    };
-    Ok(RunSpec {
-        workload,
-        engine,
-        base_config,
-        scale,
-        tenancy,
-    })
-}
-
-/// Serialize run options; `None` fields are omitted, so the default
-/// options encode as `{}` and old clients stay compatible when new
-/// knobs appear.
-pub fn opts_to_value(o: &RunOpts) -> Value {
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    if let Some(b) = o.fast_forward {
-        fields.push(("fast_forward".to_string(), Value::Bool(b)));
-    }
-    if let Some(n) = o.max_cycles {
-        fields.push(("max_cycles".to_string(), Value::UInt(n)));
-    }
-    Value::Obj(fields)
-}
-
-/// Parse run options (missing fields mean "environment default").
-pub fn opts_from_value(v: &Value) -> Result<RunOpts, Error> {
-    let fast_forward = match v.get("fast_forward") {
-        None => None,
-        Some(Value::Bool(b)) => Some(*b),
-        Some(other) => {
-            return Err(Error::schema(format!(
-                "expected bool fast_forward, got {other:?}"
-            )))
-        }
-    };
-    Ok(RunOpts {
-        fast_forward,
-        max_cycles: v.get("max_cycles").map(Value::as_u64).transpose()?,
     })
 }
 
@@ -602,65 +323,6 @@ mod tests {
     #[test]
     fn malformed_json_is_an_error() {
         assert!(from_json("{not json").is_err());
-    }
-
-    #[test]
-    fn specs_round_trip_through_json() {
-        use caps_gpu_sim::tenant::Partitioning;
-        let mut spec = RunSpec::paper(Workload::Mrq, Engine::InterAtDistance(5));
-        spec.base_config.l1d.mshr_entries = 16;
-        spec.base_config.scheduler = SchedulerKind::PasGto;
-        spec.base_config.num_sms = 7;
-        spec.base_config.dram_timing.t_burst = 9;
-        let back = spec_from_value(&spec_to_value(&spec)).expect("parses");
-        assert_eq!(back, spec);
-
-        let co = RunSpec::small(Workload::Scn, Engine::Caps)
-            .co_resident(vec![Workload::Mrq, Workload::Mm], Partitioning::SmSplit);
-        let back = spec_from_value(&spec_to_value(&co)).expect("parses");
-        assert_eq!(back, co);
-
-        // The wire shape preserves the content key exactly: a spec that
-        // survives the socket hits the same cache entry.
-        use crate::cache::job_digest;
-        let o = RunOpts::default();
-        assert_eq!(job_digest(&co, &o), job_digest(&back, &o));
-    }
-
-    #[test]
-    fn opts_round_trip_and_default_is_empty() {
-        let d = RunOpts::default();
-        assert_eq!(opts_to_value(&d), Value::Obj(vec![]));
-        assert_eq!(opts_from_value(&opts_to_value(&d)).unwrap(), d);
-
-        let full = RunOpts {
-            fast_forward: Some(false),
-            max_cycles: Some(12345),
-        };
-        assert_eq!(opts_from_value(&opts_to_value(&full)).unwrap(), full);
-    }
-
-    #[test]
-    fn bad_spec_fields_are_schema_errors() {
-        let spec = RunSpec::small(Workload::Scn, Engine::Caps);
-        let good = spec_to_value(&spec);
-        for (field, bad) in [
-            ("workload", Value::Str("NOPE".into())),
-            ("engine", Value::Str("CPAS".into())),
-            ("scale", Value::Str("medium".into())),
-            ("config", Value::UInt(3)),
-            ("tenancy", obj(vec![("kind", Value::Str("duo".into()))])),
-        ] {
-            let mut v = good.clone();
-            if let Value::Obj(fields) = &mut v {
-                for (k, slot) in fields.iter_mut() {
-                    if k == field {
-                        *slot = bad.clone();
-                    }
-                }
-            }
-            assert!(spec_from_value(&v).is_err(), "bad {field} must not parse");
-        }
     }
 
     #[test]

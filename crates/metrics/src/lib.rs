@@ -6,7 +6,7 @@
 //! * [`engine::Engine`] — the prefetcher×scheduler configurations of
 //!   Fig. 10–15 (plus the Fig. 1/14 probes and ablations);
 //! * [`harness`] — a deterministic, order-stable matrix runner;
-//! * [`farm`] — the work-stealing run service behind the harness, with
+//! * [`farm`] — the work-stealing job executor behind the harness, with
 //!   content-keyed submission dedup;
 //! * [`cache`] — the persistent content-addressed result cache keyed by
 //!   structural digests ([`caps_gpu_sim::digest`]) salted with a
@@ -29,12 +29,8 @@ pub mod sweep;
 pub use cache::{job_digest, CacheCounters, CacheMode, ResultCache};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::Engine;
-pub use export::{
-    config_from_value, config_to_value, from_json, load, opts_from_value, opts_to_value,
-    record_from_value, record_to_value, save, spec_from_value, spec_to_value, to_json,
-    workload_from_abbr,
-};
-pub use farm::{set_remote_hook, Farm, FarmJob, FarmStats, PruneSet, RemoteBatch, RemoteHook};
+pub use export::{from_json, load, record_from_value, record_to_value, save, to_json};
+pub use farm::{Farm, FarmJob, FarmStats, PruneSet};
 pub use caps_gpu_sim::tenant::Partitioning;
 pub use harness::{
     run_matrix, run_matrix_with_threads, run_one, run_one_with_fast_forward, run_one_with_opts,

@@ -300,7 +300,7 @@ mod tests {
     fn standard_axes_stay_valid_configs() {
         for (_, points) in standard_axes() {
             for p in points {
-                p.config.validate();
+                assert_eq!(p.config.validate(), Ok(()), "{}", p.label);
             }
         }
     }

@@ -1,12 +1,13 @@
 //! The result cache's core contract: a record served from the cache —
 //! from the in-memory index, or parsed back out of a JSON entry written
 //! by a *different* cache instance — is bit-identical to a fresh
-//! simulation of the same spec. Plus the mode lattice (`rw`/`ro`/`off`)
-//! and the torn/mismatched-entry miss behaviour.
+//! simulation of the same spec. Plus the mode lattice (`rw`/`ro`/`off`),
+//! the torn/mismatched-entry miss behaviour, and two farms sharing one
+//! directory at once.
 
 use caps_metrics::{
-    job_digest, run_one, CacheMode, Engine, Farm, FarmJob, Partitioning, ResultCache, RunOpts,
-    RunSpec,
+    job_digest, record_to_value, run_one, CacheMode, Engine, Farm, FarmJob, Partitioning,
+    ResultCache, RunOpts, RunRecord, RunSpec,
 };
 use caps_workloads::Workload;
 
@@ -160,4 +161,50 @@ fn off_mode_always_simulates() {
     assert_eq!((s1.sims, s1.dedup, s1.hits()), (1, 1, 0));
     assert_eq!((s2.sims, s2.dedup, s2.hits()), (1, 1, 0));
     assert!(!dir.exists());
+}
+
+#[test]
+fn concurrent_farms_on_one_dir_return_identical_records() {
+    let dir = tmp_dir("shared");
+    let _ = std::fs::remove_dir_all(&dir);
+    let jobs: Vec<FarmJob> = pairs()
+        .into_iter()
+        .map(|(w, e)| FarmJob::new(RunSpec::small(w, e)))
+        .collect();
+    let bytes = |recs: &[RunRecord]| -> Vec<String> {
+        recs.iter().map(|r| record_to_value(r).pretty()).collect()
+    };
+
+    // Two "processes": separate caches over the same fresh directory,
+    // released together so their stores race on the same keys.
+    let caches = [
+        ResultCache::new(CacheMode::ReadWrite, &dir),
+        ResultCache::new(CacheMode::ReadWrite, &dir),
+    ];
+    let start = std::sync::Barrier::new(caches.len());
+    let outs: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = caches
+            .iter()
+            .map(|cache| {
+                let (jobs, start) = (&jobs, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    bytes(&Farm::new(cache, 2).run(jobs).0)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let off = ResultCache::new(CacheMode::Off, tmp_dir("shared-off"));
+    let reference = bytes(&Farm::new(&off, 2).run(&jobs).0);
+    assert_eq!(outs[0], outs[1], "the two farms disagree");
+    assert_eq!(
+        outs[0], reference,
+        "shared-cache records differ from uncached runs"
+    );
+    for cache in &caches {
+        assert_eq!(cache.counters().store_errors, 0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
