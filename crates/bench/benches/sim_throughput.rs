@@ -3,9 +3,9 @@
 //! this measures the *simulator*, not the GPU.)
 //!
 //! The `fastforward` group pits naive per-cycle stepping against
-//! event-horizon fast-forward on the memory-bound workloads where idle
-//! windows dominate. For paper-scale numbers and the exported
-//! `BENCH_throughput.json`, use
+//! fast-forward (the per-SM quiescence cache) on the memory-bound
+//! workloads where idle SMs dominate. For paper-scale numbers and the
+//! exported `BENCH_throughput.json`, use
 //! `cargo run --release -p caps-bench --bin run -- --bench-throughput`.
 
 use caps_metrics::{run_one, run_one_with_fast_forward, Engine, RunSpec};

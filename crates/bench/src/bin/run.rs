@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `--bench-throughput` times the full workload suite (BASE and CAPS,
-//! event-horizon fast-forward on and off), reports simulated cycles/sec
+//! fast-forward on and off), reports simulated cycles/sec
 //! and host seconds per run, and writes the results to
 //! `BENCH_throughput.json` (override with `--out`) so the simulator's
 //! perf trajectory is tracked across PRs. `--workloads` restricts the
@@ -137,8 +137,9 @@ fn bench_tenants(args: &[String]) {
                 let mut spec = RunSpec::paper(group[0], engine)
                     .co_resident(group[1..].to_vec(), policy);
                 spec.scale = scale;
-                // Cross-mode agreement: machine stats and per-tenant
-                // stats must be bit-identical under both stepping modes.
+                // Cross-mode agreement: machine stats, per-tenant stats
+                // and the port report must be identical under both
+                // stepping modes.
                 let mut records = modes
                     .iter()
                     .map(|&(_, ff)| run_one_with_fast_forward(&spec, ff));
@@ -146,7 +147,10 @@ fn bench_tenants(args: &[String]) {
                 let mut mode_cycles = vec![("naive", reference.stats.cycles)];
                 for (rec, &(label, _)) in records.zip(&modes[1..]) {
                     mode_cycles.push((label, rec.stats.cycles));
-                    if rec.stats != reference.stats || rec.per_kernel != reference.per_kernel {
+                    if rec.stats != reference.stats
+                        || rec.per_kernel != reference.per_kernel
+                        || rec.links != reference.links
+                    {
                         drift.push(format!(
                             "{pairing}/{policy}/{}: {label} engine diverged from naive",
                             engine.label()

@@ -9,10 +9,10 @@
 //! available core).
 //!
 //! After the figures, the binary runs a stepping determinism smoke:
-//! every workload once naive and once with event-horizon fast-forward —
+//! every workload once naive and once with fast-forward —
 //! prints the per-workload timing table, and **exits non-zero if any
-//! stats field differs between the two**, so CI catches determinism
-//! drift cheaply.
+//! stats field or port-report counter differs between the two**, so CI
+//! catches determinism drift cheaply.
 
 use std::fs;
 use std::path::Path;
@@ -120,12 +120,12 @@ fn main() {
     );
 
     // Stepping determinism smoke: every workload naive and fast. The
-    // two must agree on every stats field; timing columns double as a
-    // coarse per-workload throughput report. The `q hw`/`cr stall`/
-    // `grows` columns summarise the fast run's port-layer report: the
-    // deepest ring high-water mark, total credit-stall events, and
-    // growth-valve activations (0 = the preallocated sizing held and
-    // the memory path ran allocation-free).
+    // two must agree on every stats field and on the port-layer report;
+    // timing columns double as a coarse per-workload throughput report.
+    // The `q hw`/`cr stall`/`grows` columns summarise that port-layer
+    // report: the deepest ring high-water mark, total credit-stall
+    // events, and growth-valve activations (0 = the preallocated sizing
+    // held and the memory path ran allocation-free).
     println!("\nStepping determinism (CAPS; naive vs fast):");
     let mut table = Table::new(&[
         "bench", "cycles", "naive s", "fast s", "fast x", "q hw", "cr stall", "grows",
@@ -144,6 +144,12 @@ fn main() {
         if fast.stats != naive.stats {
             drift.push(format!(
                 "{}: fast engine diverged from naive",
+                naive.workload
+            ));
+        }
+        if fast.links != naive.links {
+            drift.push(format!(
+                "{}: fast port report diverged from naive",
                 naive.workload
             ));
         }

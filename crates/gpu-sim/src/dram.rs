@@ -181,32 +181,6 @@ impl DramChannel {
         line / ROW_BYTES
     }
 
-    /// Whether a [`Self::step`] at `now` would change channel state:
-    /// a completion matures, or some queued request's bank is ready so
-    /// FR-FCFS issues a command. Side-effect-free twin of `step` used by
-    /// the fast-forward probe.
-    pub fn can_progress(&self, now: Cycle) -> bool {
-        self.in_flight.iter().any(|&(t, _)| t <= now)
-            || self
-                .queue_bank
-                .iter()
-                .any(|&b| self.banks[b as usize].ready_at <= now)
-    }
-
-    /// Earliest future cycle at which this channel can make progress:
-    /// the next completion, or the next bank-ready time among queued
-    /// requests. `None` when the channel is empty. All returned cycles
-    /// are strictly greater than `now` whenever `can_progress(now)` is
-    /// false — the property the clock skip's liveness rests on.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let completion = self.in_flight.iter().map(|&(t, _)| t);
-        let bank_ready = self
-            .queue_bank
-            .iter()
-            .map(|&b| self.banks[b as usize].ready_at);
-        completion.chain(bank_ready).filter(|&t| t > now).min()
-    }
-
     /// Advance one core cycle: possibly start one request (FR-FCFS pick)
     /// and drain completions into `done`.
     pub fn step(&mut self, now: Cycle, done: &mut Vec<DramRequest>) {
@@ -428,26 +402,21 @@ mod tests {
     }
 
     #[test]
-    fn progress_probe_and_next_event_bracket_the_step() {
+    fn step_is_a_noop_until_the_completion_matures() {
         let mut c = chan();
-        assert!(!c.can_progress(0), "empty channel is quiescent");
-        assert_eq!(c.next_event(0), None);
         c.push(rd(0, 0));
-        assert!(c.can_progress(0), "fresh bank is ready");
         let mut done = Vec::new();
         c.step(0, &mut done); // command issued, completion scheduled
         assert!(done.is_empty());
-        // In flight only: the probe is quiet until the data returns, and
-        // next_event names exactly that cycle.
-        assert!(!c.can_progress(1));
-        let t = c.next_event(1).expect("one completion pending");
+        let t = c.in_flight[0].0;
         assert!(t > 1);
-        assert!(!c.can_progress(t - 1));
-        assert!(c.can_progress(t));
+        // In flight only: steps before the data returns change nothing.
+        c.step(t - 1, &mut done);
+        assert!(done.is_empty());
+        assert_eq!(c.pending(), 1);
         c.step(t, &mut done);
         assert_eq!(done.len(), 1);
-        assert!(!c.can_progress(t + 1));
-        assert_eq!(c.next_event(t + 1), None);
+        assert_eq!(c.pending(), 0);
     }
 
     #[test]

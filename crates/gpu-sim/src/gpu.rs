@@ -71,27 +71,21 @@ pub struct Gpu {
     /// CTAs completed this cycle; only tested for emptiness (the
     /// refill trigger) and cleared in the tail.
     completed: Vec<CtaCoord>,
-    /// Lazily-maintained machine-wide minimum of `sm_quiet_until`:
-    /// refreshed by the SM loop each cycle and forced to 0 by every
-    /// site that zeroes cache entries outside it (CTA launches, cache
-    /// resets). Replaces the per-cycle full scan the horizon gate used
-    /// to run in `advance_until_done`.
-    sm_quiet_min: Cycle,
-    /// Event-horizon fast-forward: when no component can make progress,
-    /// jump the clock to the next event instead of stepping cycle by
-    /// cycle. Statistics are bit-identical either way; disabled by the
-    /// `GPU_SIM_NO_SKIP` environment variable (or [`Self::set_fast_forward`]).
+    /// Per-SM quiescence fast-forward: an SM that provably cannot make
+    /// progress is not stepped until its own next event; its per-cycle
+    /// statistics are accounted analytically instead. Statistics are
+    /// bit-identical either way; [`Self::set_fast_forward`] turns it off.
     fast_forward: bool,
-    /// Cycles covered by horizon jumps (host diagnostics, not `Stats`).
-    skipped_cycles: u64,
-    /// Number of horizon jumps taken.
-    skip_events: u64,
+    /// SM pipeline steps replaced by analytic accounting, summed over
+    /// SMs (host diagnostics, not `Stats`).
+    sm_steps_avoided: u64,
+    /// Times an SM entered the quiescence cache.
+    quiet_entries: u64,
     /// Per-SM quiescence cache: SM `i` provably cannot make progress
     /// before `sm_quiet_until[i]` unless an external event (a fill, a
     /// CTA launch, a rebind) touches it first — each of those resets the
     /// entry to 0. Lets the step loop replace a stalled SM's whole
-    /// pipeline walk with O(1) analytic stat accounting. The machine-wide
-    /// horizon gate reads their minimum through `sm_quiet_min`.
+    /// pipeline walk with O(1) analytic stat accounting.
     sm_quiet_until: Vec<Cycle>,
     /// Per-SM probe backoff: while an SM keeps answering "can progress",
     /// probing it again every cycle is pure overhead (the answer is
@@ -103,48 +97,6 @@ pub struct Gpu {
     /// Consecutive "active" probe answers per SM, exponent of the
     /// backoff window (capped); reset by a "cannot progress" answer.
     sm_probe_streak: Vec<u8>,
-    /// Per-partition twin of `sm_quiet_until`: reset whenever the
-    /// partition accepts a request, receives a DRAM fill, or its channel
-    /// steps (the only external ways a partition un-stalls).
-    part_quiet_until: Vec<Cycle>,
-    /// Per-partition probe backoff (twin of `sm_probe_at`): a partition
-    /// whose channel is active is probed every cycle otherwise, and its
-    /// `can_progress` walks the L2 tag store and MSHR file.
-    part_probe_at: Vec<Cycle>,
-    part_probe_streak: Vec<u8>,
-    /// Per-channel probe backoff: `DramChannel::can_progress` scans the
-    /// FR-FCFS queue, which a busy channel re-walks in `step` anyway.
-    ch_probe_at: Vec<Cycle>,
-    ch_probe_streak: Vec<u8>,
-    /// Per-channel twin: a channel's timers move only under its own
-    /// `step`, so the cache is reset only when a partition pushes a new
-    /// request into it.
-    ch_quiet_until: Vec<Cycle>,
-    /// Adaptive minimum-profitable-jump threshold (see
-    /// [`Self::MIN_PROFITABLE_SKIP_FLOOR`]): raised when probes keep
-    /// failing or jumps come up short, lowered again after long jumps.
-    min_profitable_skip: Cycle,
-    /// Consecutive-ish count of unprofitable probe outcomes feeding the
-    /// threshold backoff.
-    probe_debt: u32,
-    /// Skip-rate governor: while `true`, the fast-forward machinery
-    /// (quiescence caches, probes, horizon gate) is live; while `false`,
-    /// cycles step purely naively with zero fast-forward overhead.
-    /// Sampling windows measure the realized benefit and close the gate
-    /// for exponentially growing spans on workloads that never quiesce
-    /// (see [`Self::gate_boundary`]). Both modes account identical
-    /// statistics, so the governor cannot perturb results.
-    ff_gate_open: bool,
-    /// Cycle at which the current sampling window (gate open) or penalty
-    /// span (gate closed) ends.
-    gate_window_end: Cycle,
-    /// Length of the next penalty span; doubles after each consecutive
-    /// unprofitable sample up to [`Self::GATE_OFF_SPAN_CAP`].
-    gate_off_span: Cycle,
-    /// Benefit accumulated in the current sampling window, in units of
-    /// avoided SM steps (quiet-SM cycles plus machine-wide jump cycles
-    /// weighted by SM count).
-    gate_benefit: u64,
 }
 
 /// Cap on the per-SM probe-backoff exponent: an SM that keeps answering
@@ -218,8 +170,6 @@ impl Gpu {
             .collect();
         let distributor = CtaDistributor::new(kernel.num_ctas());
         let num_sms = cfg.num_sms;
-        let num_partitions = cfg.num_partitions;
-        let num_channels = cfg.num_dram_channels;
         Gpu {
             cfg,
             kernels: vec![kernel],
@@ -237,63 +187,41 @@ impl Gpu {
             cycle: 0,
             dram_scratch: Vec::new(),
             completed: Vec::new(),
-            sm_quiet_min: 0,
-            fast_forward: std::env::var_os("GPU_SIM_NO_SKIP").is_none(),
-            skipped_cycles: 0,
-            skip_events: 0,
+            fast_forward: true,
+            sm_steps_avoided: 0,
+            quiet_entries: 0,
             sm_quiet_until: vec![0; num_sms],
             sm_probe_at: vec![0; num_sms],
             sm_probe_streak: vec![0; num_sms],
-            part_quiet_until: vec![0; num_partitions],
-            part_probe_at: vec![0; num_partitions],
-            part_probe_streak: vec![0; num_partitions],
-            ch_quiet_until: vec![0; num_channels],
-            ch_probe_at: vec![0; num_channels],
-            ch_probe_streak: vec![0; num_channels],
-            min_profitable_skip: Self::MIN_PROFITABLE_SKIP_FLOOR,
-            probe_debt: 0,
-            ff_gate_open: true,
-            gate_window_end: Self::GATE_WINDOW,
-            gate_off_span: Self::GATE_WINDOW,
-            gate_benefit: 0,
         }
     }
 
-    /// Simulated cycles covered by horizon jumps and the number of
-    /// jumps taken (host-side diagnostics; not part of [`Stats`]).
+    /// Fast-forward diagnostics (host-side; not part of [`Stats`]): the
+    /// SM pipeline steps the quiescence cache replaced with analytic
+    /// accounting, divided by the SM count, and the number of times an
+    /// SM entered the cache. The first value is in simulated cycles of
+    /// whole-machine work avoided, so it never exceeds the cycle count.
     pub fn skip_counters(&self) -> (u64, u64) {
-        (self.skipped_cycles, self.skip_events)
+        (
+            self.sm_steps_avoided / self.cfg.num_sms as u64,
+            self.quiet_entries,
+        )
     }
 
-    /// Enable or disable event-horizon fast-forward in-process (tests
-    /// use this to compare against naive stepping without touching the
-    /// environment).
+    /// Enable or disable the per-SM quiescence fast-forward (tests and
+    /// the throughput bench use this to compare against naive stepping).
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
         self.reset_quiescence_caches();
-        self.min_profitable_skip = Self::MIN_PROFITABLE_SKIP_FLOOR;
-        self.probe_debt = 0;
-        self.ff_gate_open = true;
-        self.gate_off_span = Self::GATE_WINDOW;
-        self.gate_window_end = self.cycle + Self::GATE_WINDOW;
-        self.gate_benefit = 0;
     }
 
-    /// Zero every per-component quiescence cache and probe-backoff entry
-    /// (required whenever they may have gone stale: a mode switch, a
-    /// kernel rebind, or the skip-rate gate reopening after a span of
-    /// naive stepping during which nothing maintained them).
+    /// Zero every quiescence-cache and probe-backoff entry (required
+    /// whenever they may have gone stale: a mode switch or a kernel
+    /// rebind).
     fn reset_quiescence_caches(&mut self) {
         self.sm_quiet_until.fill(0);
-        self.sm_quiet_min = 0;
         self.sm_probe_at.fill(0);
         self.sm_probe_streak.fill(0);
-        self.part_quiet_until.fill(0);
-        self.part_probe_at.fill(0);
-        self.part_probe_streak.fill(0);
-        self.ch_quiet_until.fill(0);
-        self.ch_probe_at.fill(0);
-        self.ch_probe_streak.fill(0);
     }
 
     /// Current simulated cycle.
@@ -390,10 +318,6 @@ impl Gpu {
         // distributors drive the grid.
         self.distributor = CtaDistributor::new(0);
         self.reset_quiescence_caches();
-        self.ff_gate_open = true;
-        self.gate_off_span = Self::GATE_WINDOW;
-        self.gate_window_end = self.cycle + Self::GATE_WINDOW;
-        self.gate_benefit = 0;
         self.tenants = Some(state);
         self.tenant_window_end = self.cycle + TENANT_WINDOW;
         self.tenant_initial_fill();
@@ -417,119 +341,22 @@ impl Gpu {
     }
 
     /// Drive the clock until the bound kernel drains or `max_cycles`
-    /// elapse. With fast-forward enabled, cycles in which no component
-    /// can make progress are skipped in one hop to the event horizon —
-    /// the earliest future cycle at which anything can happen — with the
-    /// per-cycle statistics those naive steps would have accumulated
-    /// accounted analytically. The resulting [`Stats`] are bit-identical
-    /// to naive stepping.
+    /// elapse, one [`Self::step`] per simulated cycle.
     fn advance_until_done(&mut self, max_cycles: Cycle) {
         while !self.done() && self.cycle < max_cycles {
-            let now = self.cycle;
-            // Machine-wide quiescence requires every SM quiescent, so the
-            // cheap per-SM cache gates the full probe. The cached
-            // machine-wide minimum `sm_quiet_min` — refreshed by the
-            // SM loop and forced to 0 by every cache reset outside it —
-            // replaces the full `sm_quiet_until` scan this loop
-            // used to run every cycle: in busy phases the per-cycle gate
-            // overhead is now O(1). The minimum is an upper bound on how
-            // far a skip could jump (the horizon takes the min over
-            // these and more). When that bound is under
-            // `min_profitable_skip`, the `can_progress` probe plus the
-            // `horizon` walk would cost more host time than the handful
-            // of simulated cycles they could skip, so short gaps are
-            // stepped naively. Both paths account identical statistics,
-            // so neither the backoff nor its adaptation can perturb
-            // results.
-            if now >= self.tenant_window_end {
-                self.tenant_boundary(now);
-            }
-            if self.fast_forward {
-                if now >= self.gate_window_end {
-                    self.gate_boundary(now);
-                }
-                if self.ff_gate_open {
-                    let min_quiet = self.sm_quiet_min;
-                    if min_quiet > now && min_quiet - now >= self.min_profitable_skip {
-                        if !self.can_progress(now) {
-                            // Nothing can happen before the horizon. `None`
-                            // means a deadlocked configuration: jump straight
-                            // to the cap, exactly as the naive loop would
-                            // spin to it.
-                            // In tenant mode, jumps clamp to the next
-                            // interference-monitor boundary so throttle
-                            // updates land at the same simulated cycle
-                            // in both stepping modes.
-                            let target = self
-                                .horizon(now)
-                                .unwrap_or(max_cycles)
-                                .min(max_cycles)
-                                .min(self.tenant_window_end);
-                            debug_assert!(target > now, "horizon must be in the future");
-                            let delta = target - now;
-                            self.skip_to(now, target);
-                            self.tune_after_jump(delta);
-                            self.gate_benefit +=
-                                delta.saturating_mul(self.cfg.num_sms as u64);
-                            continue;
-                        }
-                        // The cached bound over-promised: the probe found a
-                        // progressing component, so its cost bought nothing.
-                        self.tune_after_wasted_probe();
-                    }
-                }
+            if self.cycle >= self.tenant_window_end {
+                self.tenant_boundary(self.cycle);
             }
             self.step();
         }
-    }
-
-    /// Sampling window for the skip-rate governor, in simulated cycles.
-    const GATE_WINDOW: Cycle = 1024;
-    /// Longest span the gate stays closed before re-sampling. Bounds the
-    /// skips forfeited when a closed-gate workload suddenly quiesces.
-    const GATE_OFF_SPAN_CAP: Cycle = 8192;
-
-    /// Close of a governor window at cycle `now`. After a sampling
-    /// window, the gate stays open only if fast-forward actually avoided
-    /// substantial work — at least a quarter of the window's SM steps
-    /// (quiet-SM cycles plus jump cycles × SM count). The bar is set
-    /// deliberately high: short quiet spells barely pay for the probe
-    /// and horizon computation that discovered them (a stalled SM's
-    /// naive step is itself cheap), so marginal quiescence is not worth
-    /// the machinery — the big wins come from long stalls and
-    /// machine-wide jumps, which clear a quarter easily. A workload
-    /// that never quiesces substantially (e.g. a compute-dense matrix
-    /// multiply under an effective prefetcher) fails the bar, and
-    /// subsequent cycles run purely naive
-    /// — no scans, no probes — for exponentially growing spans, so the
-    /// steady-state overhead decays toward zero. After a penalty span
-    /// the gate reopens for one sampling window with freshly zeroed
-    /// quiescence caches (they went stale while nothing maintained them).
-    fn gate_boundary(&mut self, now: Cycle) {
-        if self.ff_gate_open {
-            let threshold = (self.cfg.num_sms as u64) * Self::GATE_WINDOW / 4;
-            if self.gate_benefit < threshold {
-                self.ff_gate_open = false;
-                self.gate_window_end = now + self.gate_off_span;
-                self.gate_off_span = (self.gate_off_span * 2).min(Self::GATE_OFF_SPAN_CAP);
-            } else {
-                self.gate_off_span = Self::GATE_WINDOW;
-                self.gate_window_end = now + Self::GATE_WINDOW;
-            }
-        } else {
-            self.ff_gate_open = true;
-            self.reset_quiescence_caches();
-            self.gate_window_end = now + Self::GATE_WINDOW;
-        }
-        self.gate_benefit = 0;
     }
 
     /// Close of an interference-monitor window at cycle `now`: attribute
     /// the window's L2 misses to tenants via the tags every request
     /// carries, let the monitor pick throttle levels, and install them
     /// on every SM. Decisions read only bit-identical simulated
-    /// counters, and fast-forward jumps clamp to these boundaries, so
-    /// naive and fast-forward stepping throttle identically.
+    /// counters, so naive and fast-forward stepping throttle
+    /// identically.
     fn tenant_boundary(&mut self, now: Cycle) {
         let mut ts = self.tenants.take().expect("tenant boundary without tenants");
         let mut misses = [0u64; MAX_TENANTS];
@@ -615,7 +442,6 @@ impl Gpu {
             }
         }
         self.tenants = Some(ts);
-        self.sm_quiet_min = 0;
     }
 
     /// Demand-driven refill in tenant mode, run in the serial tail when
@@ -640,7 +466,6 @@ impl Gpu {
                 ctx.finish_cycle = Some(now);
             }
         }
-        let mut launched = false;
         match ts.policy {
             Partitioning::Exclusive => {
                 if let Some(t) = ts.active_exclusive() {
@@ -654,7 +479,6 @@ impl Gpu {
                             sm.launch_cta(coord, t as KernelId, &ctx.kernel);
                             ctx.start_cycle.get_or_insert(now);
                             self.sm_quiet_until[i] = 0;
-                            launched = true;
                         }
                     }
                 }
@@ -673,7 +497,6 @@ impl Gpu {
                             sm.launch_cta(coord, t as KernelId, &ctx.kernel);
                             ctx.start_cycle.get_or_insert(now);
                             self.sm_quiet_until[i] = 0;
-                            launched = true;
                         }
                     }
                 }
@@ -692,16 +515,12 @@ impl Gpu {
                             sm.launch_cta(coord, t as KernelId, &ctx.kernel);
                             ctx.start_cycle.get_or_insert(now);
                             self.sm_quiet_until[i] = 0;
-                            launched = true;
                         }
                     }
                 }
             }
         }
         self.tenants = Some(ts);
-        if launched {
-            self.sm_quiet_min = 0;
-        }
     }
 
     /// Aggregate each tenant's side counters (SM, L2, DRAM) and lifetime
@@ -731,167 +550,6 @@ impl Gpu {
         out
     }
 
-    /// Smallest estimated jump worth the fast-forward machinery, and the
-    /// initial value of the adaptive threshold. Tuned on SCN
-    /// (compute-bound, short quiescent gaps between execution timers),
-    /// where probing every 1–3-cycle gap made fast-forward a net loss.
-    const MIN_PROFITABLE_SKIP_FLOOR: Cycle = 8;
-    /// Upper bound for the adaptive threshold: backing off further would
-    /// forfeit genuinely long jumps.
-    const MIN_PROFITABLE_SKIP_CEIL: Cycle = 256;
-    /// Unprofitable probe outcomes tolerated before the threshold
-    /// doubles.
-    const PROBE_DEBT_LIMIT: u32 = 16;
-
-    /// Adapt the skip threshold after a realized jump of `delta` cycles:
-    /// long jumps pay for their probes (relax the threshold back toward
-    /// the floor); short jumps barely break even (treat like a wasted
-    /// probe). Purely a host-time heuristic — both stepping modes
-    /// account identical statistics.
-    fn tune_after_jump(&mut self, delta: Cycle) {
-        if delta >= 4 * self.min_profitable_skip {
-            self.min_profitable_skip =
-                (self.min_profitable_skip / 2).max(Self::MIN_PROFITABLE_SKIP_FLOOR);
-            self.probe_debt = self.probe_debt.saturating_sub(1);
-        } else if delta < 2 * self.min_profitable_skip {
-            self.bump_probe_debt();
-        }
-    }
-
-    /// Adapt the skip threshold after a probe that found progress (the
-    /// quiescence bound over-promised): enough of these in a row and the
-    /// gate demands longer estimated jumps before probing again.
-    fn tune_after_wasted_probe(&mut self) {
-        self.bump_probe_debt();
-    }
-
-    fn bump_probe_debt(&mut self) {
-        self.probe_debt += 1;
-        if self.probe_debt >= Self::PROBE_DEBT_LIMIT {
-            self.probe_debt = 0;
-            self.min_profitable_skip =
-                (self.min_profitable_skip * 2).min(Self::MIN_PROFITABLE_SKIP_CEIL);
-        }
-    }
-
-    /// Whether a [`Self::step`] at `now` would change any state anywhere
-    /// in the machine. Ordered cheapest-first; each arm mirrors one part
-    /// of the step. Over-approximation (a `true` for a no-op cycle) is safe —
-    /// it merely steps naively; `false` must be exact.
-    fn can_progress(&self, now: Cycle) -> bool {
-        // DRAM: a completion matures or a bank can issue a command.
-        if self
-            .channels
-            .iter()
-            .zip(&self.ch_quiet_until)
-            .any(|(c, &quiet)| quiet <= now && c.can_progress(now))
-        {
-            return true;
-        }
-        // Networks: an arrival can move into an ejection queue.
-        if self.reply_net.can_deliver(now)
-            || self.pf_reply_net.can_deliver(now)
-            || self.req_net.can_deliver(now)
-            || self.pf_req_net.can_deliver(now)
-        {
-            return true;
-        }
-        // Reply ejection queues drain unconditionally (SMs always take
-        // fills).
-        if self.reply_net.has_ejected() || self.pf_reply_net.has_ejected() {
-            return true;
-        }
-        // Request ejection heads move only if their partition has input
-        // space for them.
-        for p in 0..self.cfg.num_partitions {
-            if self
-                .req_net
-                .peek(p)
-                .is_some_and(|r| self.partitions[p].can_accept(r.kind))
-            {
-                return true;
-            }
-            if self
-                .pf_req_net
-                .peek(p)
-                .is_some_and(|r| self.partitions[p].can_accept(r.kind))
-            {
-                return true;
-            }
-        }
-        if self
-            .sms
-            .iter()
-            .zip(&self.sm_quiet_until)
-            .any(|(sm, &quiet)| quiet <= now && sm.can_progress(now, &self.kernels))
-        {
-            return true;
-        }
-        self.partitions.iter().enumerate().any(|(p, part)| {
-            self.part_quiet_until[p] <= now
-                && part.can_progress(now, &self.channels[self.cfg.channel_of_partition(p)])
-        })
-    }
-
-    /// Earliest future cycle (strictly after `now`) at which any
-    /// component can act on its own: a network arrival, a DRAM timer, a
-    /// maturing hit pipe, a warp execution-latency timer, or a prefetch
-    /// age-out. Everything else in the machine moves only as a
-    /// consequence of one of these.
-    ///
-    /// Networks contribute their *credit-aware* progress bound rather
-    /// than the raw arrival bound: a pipe arrival into a link whose
-    /// ejection queue is out of credits merely joins the blocked queue —
-    /// nothing observable changes, because the queue's consumer is
-    /// provably quiescent for the whole window (the skip gate required
-    /// `!can_progress`, which includes `has_ejected` on the reply nets
-    /// and consumer-checked request heads, and a frozen consumer frees
-    /// no credits). Horizon jumps therefore extend straight across
-    /// backpressured spans; the stall events naive stepping would have
-    /// recorded inside them are reconstructed analytically by
-    /// [`Network::account_skipped_window`] in [`Self::skip_to`].
-    fn horizon(&self, now: Cycle) -> Option<Cycle> {
-        let nets = [
-            self.req_net.earliest_progress(now),
-            self.pf_req_net.earliest_progress(now),
-            self.reply_net.earliest_progress(now),
-            self.pf_reply_net.earliest_progress(now),
-        ];
-        nets.into_iter()
-            .chain(self.sms.iter().map(|sm| sm.next_event(now)))
-            .chain(self.partitions.iter().map(|p| p.next_event(now)))
-            .chain(self.channels.iter().map(|c| c.next_event(now)))
-            .flatten()
-            .min()
-    }
-
-    /// Jump the clock from `now` to `target`, replicating the statistics
-    /// side effects of the `target - now` quiescent naive steps being
-    /// skipped. No architectural state changes in a quiescent cycle, so
-    /// only per-cycle counters need accounting.
-    fn skip_to(&mut self, now: Cycle, target: Cycle) {
-        let delta = target - now;
-        for sm in &mut self.sms {
-            sm.account_skipped(delta);
-        }
-        for p in &mut self.partitions {
-            p.account_skipped(delta);
-        }
-        // Each creditless link records one stall event per cycle its
-        // pipe head sits arrived-but-blocked. Credit-aware horizons can
-        // extend a window past a head's *arrival* (the arrival is a
-        // non-event behind a frozen consumer), so the per-link window
-        // accounting clamps each head's stall span to its own arrival
-        // cycle — exactly what naive stepping would have recorded.
-        self.req_net.account_skipped_window(now, target);
-        self.pf_req_net.account_skipped_window(now, target);
-        self.reply_net.account_skipped_window(now, target);
-        self.pf_reply_net.account_skipped_window(now, target);
-        self.skipped_cycles += delta;
-        self.skip_events += 1;
-        self.cycle = target;
-    }
-
     /// Replace the bound kernel (the GPU must be drained between
     /// kernels; callers normally use [`Self::run_app`]).
     pub fn bind_kernel(&mut self, kernel: Kernel) {
@@ -900,10 +558,6 @@ impl Gpu {
             sm.rebind(&kernel);
         }
         self.reset_quiescence_caches();
-        self.ff_gate_open = true;
-        self.gate_off_span = Self::GATE_WINDOW;
-        self.gate_window_end = self.cycle + Self::GATE_WINDOW;
-        self.gate_benefit = 0;
         self.kernels = vec![kernel];
     }
 
@@ -918,9 +572,6 @@ impl Gpu {
             self.sms[sm].launch_cta(coord, 0, kernel);
             self.sm_quiet_until[sm] = 0;
         }
-        // Cache entries were zeroed outside the SM loop; the cached
-        // minimum must see it.
-        self.sm_quiet_min = 0;
     }
 
     fn done(&self) -> bool {
@@ -936,13 +587,6 @@ impl Gpu {
             && self.reply_net.in_flight() == 0
             && self.pf_reply_net.in_flight() == 0
             && self.channels.iter().all(|c| c.pending() == 0)
-    }
-
-    /// Whether this cycle runs with the fast-forward machinery live:
-    /// requires both the mode flag and an open skip-rate gate.
-    #[inline]
-    fn ff_active(&self) -> bool {
-        self.fast_forward && self.ff_gate_open
     }
 
     /// Advance the whole GPU one core cycle: the SM loop, the memory
@@ -983,10 +627,8 @@ impl Gpu {
     /// request link, so each link receives its packets in
     /// `(sm, queue order)`.
     fn step_sms(&mut self, now: Cycle) {
-        let ff = self.ff_active();
+        let ff = self.fast_forward;
         let bw = self.cfg.icnt_bandwidth;
-        let mut min_quiet = Cycle::MAX;
-        let mut skips = 0u64;
         let replies = self.reply_net.links_mut();
         let pf_replies = self.pf_reply_net.links_mut();
         for (i, sm) in self.sms.iter_mut().enumerate() {
@@ -1013,26 +655,23 @@ impl Gpu {
             // probe off exponentially and the SM is stepped directly in
             // between — identical to naive stepping, so only quiescence
             // *detection* is delayed, never the simulated outcome.
-            'pipeline: {
-                if ff {
-                    if *quiet > now {
-                        sm.account_skipped(1);
-                        skips += 1;
-                        break 'pipeline;
-                    }
-                    let probe_at = &mut self.sm_probe_at[i];
-                    if now >= *probe_at {
-                        let streak = &mut self.sm_probe_streak[i];
-                        if !sm.can_progress(now, &self.kernels) {
-                            *streak = 0;
-                            sm.account_skipped(1);
-                            *quiet = sm.next_event(now).unwrap_or(Cycle::MAX);
-                            break 'pipeline;
-                        }
-                        *probe_at = now + (1u64 << *streak);
-                        *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                    }
+            // `next_event` is strictly after `now`, so a fresh verdict
+            // skips this cycle too.
+            if ff && *quiet <= now && now >= self.sm_probe_at[i] {
+                let streak = &mut self.sm_probe_streak[i];
+                if sm.can_progress(now, &self.kernels) {
+                    self.sm_probe_at[i] = now + (1u64 << *streak);
+                    *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
+                } else {
+                    *streak = 0;
+                    *quiet = sm.next_event(now).unwrap_or(Cycle::MAX);
+                    self.quiet_entries += 1;
                 }
+            }
+            if ff && *quiet > now {
+                sm.account_skipped(1);
+                self.sm_steps_avoided += 1;
+            } else {
                 sm.step(now, &self.kernels, &mut self.completed);
             }
 
@@ -1050,18 +689,13 @@ impl Gpu {
                 };
                 net.send(now, dst, req);
             }
-            min_quiet = min_quiet.min(*quiet);
         }
-        // Each quiet SM this cycle is one avoided pipeline walk.
-        self.sm_quiet_min = min_quiet;
-        self.gate_benefit += skips;
     }
 
     /// The memory loop, per DRAM channel: eject requests into the
     /// channel's partitions, advance the channel, then advance its
     /// partitions.
     fn step_memory(&mut self, now: Cycle) {
-        let ff = self.ff_active();
         let bw = self.cfg.icnt_bandwidth;
         let num_partitions = self.cfg.num_partitions;
         let num_channels = self.cfg.num_dram_channels;
@@ -1069,8 +703,6 @@ impl Gpu {
         let pf_reqs = self.pf_req_net.links_mut();
         let scratch = &mut self.dram_scratch;
         for (c, ch) in self.channels.iter_mut().enumerate() {
-            let ch_quiet = &mut self.ch_quiet_until[c];
-
             // Request networks → partitions (consumer-checked ejection;
             // demand channel first).
             for p in (c..num_partitions).step_by(num_channels) {
@@ -1084,87 +716,17 @@ impl Gpu {
                         }
                         let req = link.pop_one().expect("peeked");
                         part.accept(now, req);
-                        self.part_quiet_until[p] = 0;
                     }
                 }
             }
 
             // The DRAM channel advances; completions collect in the
-            // scratch. A channel whose probe says "nothing matures, no
-            // bank ready" would step as a pure no-op, so under
-            // fast-forward it is skipped outright until its own next
-            // timer — only a partition pushing a request can unquiesce
-            // it earlier, and that push resets the cache below.
+            // scratch for its partitions, which then service inputs and
+            // emit replies.
             scratch.clear();
-            let mut ch_stepped = false;
-            if !ff {
-                ch.step(now, scratch);
-                ch_stepped = true;
-            } else if *ch_quiet <= now {
-                let probe_at = &mut self.ch_probe_at[c];
-                let mut progress = true;
-                if now >= *probe_at {
-                    let streak = &mut self.ch_probe_streak[c];
-                    if ch.can_progress(now) {
-                        *probe_at = now + (1u64 << *streak);
-                        *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                    } else {
-                        *streak = 0;
-                        *ch_quiet = ch.next_event(now).unwrap_or(Cycle::MAX);
-                        progress = false;
-                    }
-                }
-                if progress {
-                    ch.step(now, scratch);
-                    ch_stepped = true;
-                }
-            }
-
-            // Partitions service inputs and emit replies. Under
-            // fast-forward a partition provably stalled until
-            // `part_quiet_until[p]` only accounts its per-cycle stall
-            // counter; the cache is reset on every event that can
-            // unblock it (an accepted request above, a DRAM fill, or any
-            // step of its channel — which can free queue space or MSHRs).
+            ch.step(now, scratch);
             for p in (c..num_partitions).step_by(num_channels) {
-                let part = &mut self.partitions[p];
-                let quiet = &mut self.part_quiet_until[p];
-                if ff {
-                    if ch_stepped {
-                        *quiet = 0;
-                    }
-                    let has_fill = scratch.iter().any(|r| r.partition == p);
-                    if !has_fill {
-                        if *quiet > now {
-                            part.account_skipped(1);
-                            continue;
-                        }
-                        // The `can_progress` probe walks L2 tags and the
-                        // MSHR tables — comparable cost to the step it
-                        // would save. After a successful probe, step
-                        // blindly for a geometrically growing window
-                        // (stepping a stalled partition is stats-identical
-                        // to `account_skipped`, so this never changes
-                        // results, only delays quiescence detection).
-                        let probe_at = &mut self.part_probe_at[p];
-                        if now >= *probe_at {
-                            let streak = &mut self.part_probe_streak[p];
-                            if !part.can_progress(now, ch) {
-                                *streak = 0;
-                                part.account_skipped(1);
-                                *quiet = part.next_event(now).unwrap_or(Cycle::MAX);
-                                continue;
-                            }
-                            *probe_at = now + (1u64 << *streak);
-                            *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                        }
-                    }
-                }
-                let pending_before = ch.pending();
-                part.step(now, ch, scratch);
-                if ch.pending() != pending_before {
-                    *ch_quiet = 0;
-                }
+                self.partitions[p].step(now, ch, scratch);
             }
         }
     }
@@ -1174,7 +736,6 @@ impl Gpu {
             self.refill_tenants();
             return;
         }
-        let mut launched = false;
         let kernel = &self.kernels[0];
         for (i, sm) in self.sms.iter_mut().enumerate() {
             while sm.has_free_cta_slot() {
@@ -1183,16 +744,10 @@ impl Gpu {
                         let coord = kernel.cta_coord(id);
                         sm.launch_cta(coord, 0, kernel);
                         self.sm_quiet_until[i] = 0;
-                        launched = true;
                     }
                     None => break,
                 }
             }
-        }
-        if launched {
-            // A launch zeroed cache entries after the SM loop ran; keep
-            // the cached minimum consistent with the entries.
-            self.sm_quiet_min = 0;
         }
     }
 
@@ -1233,10 +788,9 @@ impl Gpu {
     /// Per-subsystem port/link occupancy and backpressure report:
     /// high-water marks, credit-stall counts, and growth-valve
     /// activations aggregated over every ring in the memory path.
-    /// Host-side reporting only — fast-forward changes how often stalled
-    /// producers retry, so these counters legitimately differ between
-    /// stepping modes and are *not* part of the bit-identity contract (unlike
-    /// [`Stats`]).
+    /// Host-side reporting, kept out of [`Stats`], but equal under naive
+    /// and fast-forward stepping: a quiescent SM's ports are provably
+    /// idle, and the memory side always steps naively.
     pub fn link_report(&self) -> LinkReport {
         let mut sm_ports = PortSnapshot::default();
         for sm in &self.sms {
@@ -1418,6 +972,7 @@ mod tests {
         let mut naive = Gpu::new(cfg, stride_kernel(16, 4), &*null_factory());
         naive.set_fast_forward(false);
         assert_eq!(fast.run(1_000_000), naive.run(1_000_000));
+        assert_eq!(fast.link_report(), naive.link_report());
     }
 
     #[test]
@@ -1435,8 +990,9 @@ mod tests {
 
     #[test]
     fn fast_forward_is_bit_identical_under_a_cycle_cap() {
-        // The cap can land inside a skip window; the jump must clamp to
-        // it and account the partial window exactly as naive spinning.
+        // The cap can land while SMs sit in the quiescence cache; the
+        // cycles they skipped must already be accounted exactly as naive
+        // stepping would.
         for cap in [50, 137, 500] {
             let cfg = GpuConfig::test_small();
             let mut fast = Gpu::new(cfg.clone(), stride_kernel(64, 4), &*null_factory());
@@ -1445,6 +1001,25 @@ mod tests {
             naive.set_fast_forward(false);
             assert_eq!(fast.run(cap), naive.run(cap), "cap {cap}");
         }
+    }
+
+    #[test]
+    fn fast_forward_avoids_sm_steps_only_when_on() {
+        // A memory-bound kernel leaves SMs waiting on DRAM, so the
+        // quiescence cache must replace some of their pipeline steps;
+        // naive stepping replaces none.
+        let cfg = GpuConfig::test_small();
+        let counters = |ff: bool| {
+            let mut gpu = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory());
+            gpu.set_fast_forward(ff);
+            let stats = gpu.run(1_000_000);
+            (gpu.skip_counters(), stats.cycles)
+        };
+        let ((avoided, entries), cycles) = counters(true);
+        assert!(avoided > 0, "fast-forward never skipped an SM step");
+        assert!(entries > 0);
+        assert!(avoided <= cycles, "{avoided} avoided > {cycles} cycles");
+        assert_eq!(counters(false).0, (0, 0));
     }
 
     #[test]

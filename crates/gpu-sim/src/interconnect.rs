@@ -53,9 +53,6 @@ pub struct Network<T> {
     latency: u32,
     eject_depth: usize,
     eject_bw: u32,
-    /// Stall events accounted in bulk by the fast-forward clock skip
-    /// (not attributable to a single link; added to the summed total).
-    skipped_stall_events: u64,
 }
 
 impl<T> Network<T> {
@@ -77,7 +74,6 @@ impl<T> Network<T> {
             latency,
             eject_depth,
             eject_bw,
-            skipped_stall_events: 0,
         }
     }
 
@@ -141,81 +137,9 @@ impl<T> Network<T> {
         self.links.iter().map(Link::in_flight).sum()
     }
 
-    /// Any message sitting in an ejection queue.
-    #[inline]
-    pub fn has_ejected(&self) -> bool {
-        self.links.iter().any(Link::has_pending)
-    }
-
-    /// Whether a [`Self::step`] at `now` would move at least one message
-    /// from a pipe into an ejection queue (an arrival — forward progress
-    /// for the fast-forward probe).
-    pub fn can_deliver(&self, now: Cycle) -> bool {
-        self.links.iter().any(|link| link.can_deliver(now))
-    }
-
-    /// Number of destinations whose pipe head has arrived but is blocked
-    /// on a full ejection queue. [`Link::step`] records exactly one
-    /// stall event per such destination per cycle, so a skipped window of
-    /// `delta` cycles accounts `delta * blocked_heads` stall events.
-    pub fn blocked_heads(&self, now: Cycle) -> u64 {
-        self.links
-            .iter()
-            .filter(|link| link.blocked_head(now))
-            .count() as u64
-    }
-
-    /// Account stall events for a skipped quiescent window in bulk.
-    pub fn add_skipped_stalls(&mut self, events: u64) {
-        self.skipped_stall_events += events;
-    }
-
-    /// Total stall events: per-link counts plus bulk skip accounting.
+    /// Total stall events summed over every link.
     pub fn stall_events(&self) -> u64 {
-        self.skipped_stall_events + self.links.iter().map(|l| l.stall_events).sum::<u64>()
-    }
-
-    /// Earliest future pipe arrival, strictly after `now`. Heads already
-    /// arrived (t ≤ now) are excluded: unblocked ones are immediate
-    /// progress (no skip happens), blocked ones cannot move until their
-    /// consumer drains — a different progress event.
-    pub fn earliest_arrival(&self, now: Cycle) -> Option<Cycle> {
-        self.links
-            .iter()
-            .filter_map(|link| link.earliest_arrival(now))
-            .min()
-    }
-
-    /// Earliest future cycle at which any link could make progress a
-    /// consumer can observe — the credit-aware variant of
-    /// [`Self::earliest_arrival`] used for fast-forward horizon
-    /// planning. Links whose ejection queue is out of credits are
-    /// skipped entirely: during a skipped window no consumer pops, so a
-    /// pipe arrival into a creditless link only lengthens the blocked
-    /// queue and changes nothing observable. Only meaningful when every
-    /// ejection queue has already been drained into its quiescent
-    /// consumer (the skip gate checks [`Self::has_ejected`]).
-    pub fn earliest_progress(&self, now: Cycle) -> Option<Cycle> {
-        self.links
-            .iter()
-            .filter_map(|link| link.earliest_progress(now))
-            .min()
-    }
-
-    /// Account, in bulk, exactly the stall events naive per-cycle
-    /// stepping would have recorded over the skipped window
-    /// `now..target`: for each creditless link, its pipe head (current
-    /// or arriving mid-window at `t`) blocks for `target - max(t, now)`
-    /// cycles. Supersedes `blocked_heads(now) * delta`, which missed
-    /// heads arriving inside windows extended past their arrival by
-    /// [`Self::earliest_progress`].
-    pub fn account_skipped_window(&mut self, now: Cycle, target: Cycle) {
-        let events: u64 = self
-            .links
-            .iter()
-            .map(|link| link.window_stalls(now, target))
-            .sum();
-        self.skipped_stall_events += events;
+        self.links.iter().map(|l| l.stall_events).sum()
     }
 
     /// Occupancy/stall counters aggregated over every link (max of high
@@ -312,30 +236,29 @@ mod tests {
     }
 
     #[test]
-    fn probes_track_arrivals_blocks_and_horizon() {
+    fn arrivals_wait_for_latency_and_credits() {
         let mut n: Network<u32> = Network::new(2, 5, 1, 1, 4);
-        assert!(!n.can_deliver(0));
-        assert_eq!(n.earliest_arrival(0), None);
         n.send(0, 0, 1);
         n.send(0, 0, 2);
         n.send(3, 1, 3);
         // Nothing arrives before the latency elapses.
-        assert!(!n.can_deliver(4));
-        assert_eq!(n.earliest_arrival(4), Some(5));
-        assert!(n.can_deliver(5));
+        n.step(4);
+        assert!(!n.has_pending(0));
         n.step(5);
-        assert!(n.has_ejected());
+        assert!(n.has_pending(0));
         // dst 0's second message arrived but its 1-deep queue is full.
-        assert_eq!(n.blocked_heads(5), 1);
-        assert!(!n.can_deliver(5), "only the blocked head remains at 5");
-        // dst 1's message is the sole future arrival.
-        assert_eq!(n.earliest_arrival(5), Some(8));
+        assert_eq!(n.stall_events(), 1);
+        // dst 1's message arrives at 8.
+        assert!(!n.has_pending(1));
         assert_eq!(n.pop_one(0), Some(1));
-        assert!(n.can_deliver(5), "freed slot unblocks the head");
+        n.step(5);
+        assert_eq!(n.pop_one(0), Some(2), "freed slot unblocks the head");
+        n.step(8);
+        assert_eq!(n.pop_one(1), Some(3));
     }
 
     #[test]
-    fn credit_aware_horizon_skips_backpressured_links() {
+    fn blocked_head_stalls_once_per_cycle_until_drained() {
         let mut n: Network<u32> = Network::new(2, 5, 1, 1, 4);
         n.send(0, 0, 1); // arrives at 5
         n.send(0, 0, 2); // arrives at 5, will block behind the first
@@ -344,14 +267,12 @@ mod tests {
         n.step(5); // message 2 takes the freed credit: dst 0 full again
         n.send(5, 0, 3); // arrives at 10 behind a creditless queue
         n.send(7, 1, 4); // arrives at 12 on a free link
-        // Plain arrival horizon sees dst 0's t=10; the credit-aware one
-        // knows dst 0 cannot progress and reports dst 1's t=12.
-        assert_eq!(n.earliest_arrival(6), Some(10));
-        assert_eq!(n.earliest_progress(6), Some(12));
-        // Bulk window accounting: dst 0's head arrives at 10 and blocks
+        // With no consumer pops, dst 0's head arrives at 10 and blocks
         // for cycles 10 and 11 of the window 6..12.
         let before = n.stall_events();
-        n.account_skipped_window(6, 12);
+        for now in 6..12 {
+            n.step(now);
+        }
         assert_eq!(n.stall_events() - before, 2);
     }
 
@@ -363,13 +284,13 @@ mod tests {
         }
         n.step(0);
         assert_eq!(n.in_flight(), 4);
-        assert!(n.has_ejected());
+        assert!(n.has_pending(0) && n.has_pending(1));
         let _ = n.pop(0).collect::<Vec<_>>(); // iterator path
         assert_eq!(n.in_flight(), 2);
         let _ = n.pop_one(1); // single-pop path
         assert_eq!(n.in_flight(), 1);
         let _ = n.pop_one(1);
-        assert!(!n.has_ejected());
+        assert!(!n.has_pending(1));
         assert_eq!(n.in_flight(), 0);
     }
 

@@ -192,62 +192,6 @@ impl MemoryPartition {
             && self.wb_q.is_empty()
     }
 
-    /// The input request `step` would service this cycle (demand class
-    /// first, mirroring the bank-port arbitration).
-    fn input_head(&self) -> Option<&MemRequest> {
-        self.in_demand.peek().or_else(|| self.in_prefetch.peek())
-    }
-
-    /// Whether a [`Self::step`] at `now` would change partition state
-    /// (beyond the per-cycle stall counter, which the clock skip accounts
-    /// analytically). DRAM completions are covered by the *channel's*
-    /// progress probe, not here. Side-effect free: uses `Cache::probe`
-    /// and `MshrFile::can_merge` instead of their mutating twins.
-    pub fn can_progress(&self, now: Cycle, dram: &DramChannel) -> bool {
-        if !self.reply_out.is_empty() || !self.pf_reply_out.is_empty() {
-            return true; // the GPU drains replies into the networks
-        }
-        if self.hit_pipe.peek().is_some_and(|&(t, _)| t <= now) {
-            return true;
-        }
-        if !self.wb_q.is_empty() && dram.can_accept() {
-            return true;
-        }
-        let Some(req) = self.input_head() else {
-            return false;
-        };
-        match req.kind {
-            AccessKind::Store => true,
-            AccessKind::DemandLoad | AccessKind::Prefetch => {
-                self.l2.probe(req.line)
-                    || self.mshr.can_merge(req.line)
-                    || (!self.mshr.contains(req.line)
-                        && dram.can_accept()
-                        && self.mshr.free() > 0)
-            }
-        }
-    }
-
-    /// Earliest strictly-future local event: the next L2 hit maturing.
-    /// Every other way this partition un-stalls (DRAM completion, DRAM
-    /// queue space, MSHR release) is driven by channel progress, which
-    /// the channel's own `next_event` covers.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.hit_pipe.peek().map(|&(t, _)| t).filter(|&t| t > now)
-    }
-
-    /// Account for `delta` skipped quiescent cycles: a stalled input
-    /// head would have retried (and recorded a stall) once per cycle.
-    pub fn account_skipped(&mut self, delta: u64) {
-        if let Some(req) = self.input_head() {
-            debug_assert!(
-                req.kind != AccessKind::Store,
-                "a store head always progresses; skip window impossible"
-            );
-            self.stats.dram_queue_stalls += delta;
-        }
-    }
-
     /// Occupancy/stall counters aggregated over every port in this
     /// partition. Host-side reporting only — not part of the
     /// bit-identity contract.

@@ -51,7 +51,7 @@ pub trait WarpScheduler: Send {
     /// Whether [`Self::pick`] would return `Some` for this `can_issue`
     /// predicate, *without* mutating scheduler state (`pick` may advance
     /// rotation cursors on success, so it cannot be used as a probe).
-    /// The fast-forward clock skip relies on this being boolean-equal to
+    /// The per-SM quiescence cache relies on this being boolean-equal to
     /// `pick(..).is_some()`; the conservative default (`true`) merely
     /// disables skipping for schedulers that do not override it.
     fn has_candidate(&self, _can_issue: &mut dyn FnMut(WarpSlot) -> bool) -> bool {

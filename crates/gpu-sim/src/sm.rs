@@ -376,11 +376,11 @@ impl Sm {
     }
 
     /// Whether a [`Self::step`] at `now` would change any architectural
-    /// or statistics state — the SM leg of the fast-forward probe. Must
-    /// stay in lockstep with the step path: every `true` arm corresponds
-    /// to an action `step` would take this cycle, and `false` means the
-    /// cycle is provably a no-op (given empty inject queues, which the
-    /// GPU-level probe checks via the first arm).
+    /// or statistics state — the probe behind the GPU's per-SM
+    /// quiescence cache. Must stay in lockstep with the step path: every
+    /// `true` arm corresponds to an action `step` would take this cycle,
+    /// and `false` means the cycle is provably a no-op beyond the stall
+    /// counters [`Self::account_skipped`] replicates.
     pub fn can_progress(&self, now: Cycle, kernels: &[Kernel]) -> bool {
         // A matured L1 hit completes a load.
         if self.hit_pipe.peek().is_some_and(|&(t, _)| t <= now) {

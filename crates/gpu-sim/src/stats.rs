@@ -12,11 +12,12 @@ use crate::port::PortSnapshot;
 /// run: ring high-water marks, credit-stall counts, and growth-valve
 /// activations, aggregated per subsystem by [`crate::gpu::Gpu::link_report`].
 ///
-/// Deliberately **not** part of [`Stats`] and exempt from the
-/// bit-identity contract: event-horizon fast-forward elides the cycles a
-/// stalled producer would have spent retrying, so credit-stall counts
-/// legitimately differ between the naive and fast engines even though
-/// every architectural statistic matches.
+/// Deliberately **not** part of [`Stats`]: it describes the host-side
+/// port layer, not the simulated machine. It is nonetheless equal under
+/// naive and fast-forward stepping — fast-forward only skips the
+/// pipeline walk of an SM whose ports are provably idle, and the memory
+/// side steps every cycle in both modes — and the differential tests
+/// check that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkReport {
     /// Demand request network (SM → partition crossbar links).

@@ -36,10 +36,9 @@
 //! deliberately **excluded** from the key: it is host-execution-only
 //! and bit-identity across it is enforced by the differential suites,
 //! so a record computed in either mode satisfies the other.
-//! `max_cycles` *is* keyed — a lower ceiling truncates runs. The only
-//! per-record field exempt from bit-identity is the
-//! [`LinkReport`](caps_gpu_sim::stats::LinkReport) observability block,
-//! which may legitimately differ across execution modes.
+//! `max_cycles` *is* keyed — a lower ceiling truncates runs. Every
+//! record field, the [`LinkReport`](caps_gpu_sim::stats::LinkReport)
+//! observability block included, is equal across execution modes.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

@@ -121,8 +121,8 @@ pub struct RunRecord {
     /// Energy breakdown under the default model.
     pub energy: EnergyBreakdown,
     /// Port/link occupancy and backpressure summary (host-side
-    /// observability; exempt from the bit-identity contract, unlike
-    /// `stats`).
+    /// observability, kept out of `stats`; equal under naive and
+    /// fast-forward stepping).
     pub links: LinkReport,
     /// Per-tenant counters for co-runs, tenant 0 first (empty for solo
     /// runs). Attribution counters are part of the bit-identity
@@ -139,12 +139,12 @@ impl RunRecord {
 }
 
 /// Per-run overrides for [`run_one_with_opts`]; `None`/default leaves
-/// the environment-derived behavior untouched. `fast_forward` is
+/// the simulator's defaults untouched. `fast_forward` is
 /// host-execution-only and never changes a run's statistics;
 /// `max_cycles` truncates the run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Event-horizon fast-forward on/off (overrides `GPU_SIM_NO_SKIP`).
+    /// Per-SM quiescence fast-forward on/off (default on).
     pub fast_forward: Option<bool>,
     /// Cycle ceiling override (default [`caps_gpu_sim::gpu::DEFAULT_MAX_CYCLES`]);
     /// the differential suite uses it to bound full-scale runs.
@@ -156,9 +156,8 @@ pub fn run_one(spec: &RunSpec) -> RunRecord {
     run_one_with_opts(spec, &RunOpts::default())
 }
 
-/// Execute one spec with event-horizon fast-forward explicitly on or
-/// off, overriding the `GPU_SIM_NO_SKIP` environment default. Both
-/// settings produce bit-identical records; differential tests and the
+/// Execute one spec with fast-forward explicitly on or off. Both
+/// settings produce identical records; differential tests and the
 /// throughput benchmark compare the two.
 pub fn run_one_with_fast_forward(spec: &RunSpec, fast_forward: bool) -> RunRecord {
     run_one_with_opts(

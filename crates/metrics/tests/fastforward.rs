@@ -1,10 +1,12 @@
-//! Differential property test for event-horizon fast-forward.
+//! Differential property test for fast-forward.
 //!
-//! The simulator's run loop may jump over quiescent windows (cycles in
-//! which no component can make progress) in a single hop. The contract
-//! is strict: every [`caps_gpu_sim::stats::Stats`] field — and therefore
-//! every derived metric and energy number — must be **bit-identical** to
-//! naive cycle-by-cycle stepping, on every workload and engine.
+//! The simulator's run loop may replace the pipeline walk of an SM that
+//! provably cannot make progress with analytic accounting, cached until
+//! that SM's next event. The contract is strict: every
+//! [`caps_gpu_sim::stats::Stats`] field — and therefore every derived
+//! metric and energy number — must be **bit-identical** to naive
+//! cycle-by-cycle stepping, on every workload and engine, and so must
+//! the host-side port report (`RunRecord::links`).
 //!
 //! This suite runs the full workload suite at small scale under a
 //! representative cross-section of engines, and at paper scale under a
@@ -30,6 +32,11 @@ fn assert_modes_agree_capped(spec: &RunSpec, max_cycles: Option<u64>) {
     assert_eq!(
         fast.stats, naive.stats,
         "stats diverged on {} / {}",
+        fast.workload, fast.engine
+    );
+    assert_eq!(
+        fast.links, naive.links,
+        "port report diverged on {} / {}",
         fast.workload, fast.engine
     );
     assert_eq!(
@@ -87,7 +94,7 @@ fn fast_forward_matches_naive_across_engines() {
 /// cut off by a cycle cap. Caps of this size land mid-flight in every
 /// workload, so the comparison covers warm steady state (in-flight
 /// interconnect traffic, populated MSHRs, active FR-FCFS reordering)
-/// and a jump clamped to the cap, not just drained end states.
+/// and SMs cut off while quiescent, not just drained end states.
 #[test]
 fn fast_forward_matches_naive_at_full_scale_capped() {
     for w in all_workloads() {

@@ -9,7 +9,7 @@
 //! 2. **Cross-mode determinism** — a genuine co-run (two tenants,
 //!    contended L2/DRAM, interference monitor live) produces identical
 //!    machine-wide `Stats` *and* identical per-tenant `KernelStats`
-//!    under naive stepping and event-horizon fast-forward.
+//!    under naive stepping and fast-forward.
 
 use caps_metrics::{run_one_with_fast_forward, Engine, Partitioning, RunRecord, RunSpec};
 use caps_workloads::Workload;
@@ -80,6 +80,10 @@ fn co_runs_are_bit_identical_across_engines() {
             assert_eq!(
                 r.per_kernel, reference.per_kernel,
                 "{a:?}+{b:?}/{policy} per-tenant stats diverged under fast-forward"
+            );
+            assert_eq!(
+                r.links, reference.links,
+                "{a:?}+{b:?}/{policy} port report diverged under fast-forward"
             );
         }
     }
